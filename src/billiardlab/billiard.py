@@ -22,7 +22,7 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import jv
 
-from .errors import InvalidArgumentError, NotFoundError
+from .errors import InvalidArgumentError, NotFoundError, NumericalError
 from .validation import as_float_array, check_ascending, check_positive
 
 __all__ = [
@@ -389,6 +389,106 @@ def sector_weyl_params(
 # Point scatterer
 # ----------------------------------------------------------------------
 
+# The secular solve works on blocks of consecutive gaps.  Poles within the
+# near window of a block are summed exactly; the remaining poles lie at
+# least a window away, where their sum is smooth enough for a Chebyshev
+# interpolant of this degree to reach rounding level.
+_BLOCK_GAPS = 128
+_NEAR_WINDOW = 128
+_FAR_DEGREE = 24
+_MAX_ITER = 60
+_EPS = np.finfo(float).eps
+
+
+def _secular_roots(E, w, shift: float, n_gaps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Root of f(e) = shift + sum_n w_n / (E_n - e) in each of the first ``n_gaps`` gaps.
+
+    ``E`` is strictly ascending and ``w`` nonnegative; f increases across
+    every gap (E_i, E_{i+1}).  Each root is returned as the index of the
+    nearer pole of its gap and the offset ``tau`` from that pole, which
+    keeps roots close to a pole to full relative accuracy.
+
+    Every step solves the "middle way" model of Li (LAPACK ``dlaed4``):
+    c + s/(E_i - e) + S/(E_{i+1} - e) with s and S matching the derivatives
+    of the pole sums left and right of the gap and c matching f.  The
+    model's root lies inside the gap; a step that leaves the bracket set
+    by the signs of f seen so far bisects instead.
+    """
+    cheb = np.polynomial.chebyshev
+    nodes = cheb.chebpts1(_FAR_DEGREE + 1)
+    to_coef = cheb.chebvander(nodes, _FAR_DEGREE).T * (2.0 / nodes.size)
+    to_coef[0] *= 0.5
+    origin = np.empty(n_gaps, dtype=np.intp)
+    tau = np.empty(n_gaps)
+    for g0 in range(0, n_gaps, _BLOCK_GAPS):
+        g1 = min(g0 + _BLOCK_GAPS, n_gaps)
+        n0, n1 = max(g0 - _NEAR_WINDOW, 0), min(g1 + 1 + _NEAR_WINDOW, E.size)
+        centre, half = 0.5 * (E[g1] + E[g0]), 0.5 * (E[g1] - E[g0])
+        # far poles: value and left/right derivative of their sum at the nodes
+        far = np.zeros((nodes.size, 3))
+        for poles, col in ((slice(0, n0), 1), (slice(n1, None), 2)):
+            r = E[None, poles] - (centre + half * nodes)[:, None]
+            np.reciprocal(r, out=r)
+            far[:, 0] += r @ w[poles]
+            far[:, col] = np.square(r, out=r) @ w[poles]
+        coef = to_coef @ far
+
+        En, wn = E[n0:n1], w[n0:n1]
+        lp = np.arange(g0, g1) - n0  # window index of each gap's left pole
+        is_left = np.arange(En.size) <= lp[:, None]
+        mid = 0.5 * (En[lp] + En[lp + 1])
+        f_mid = shift + np.sum(wn / (En - mid[:, None]), axis=1)
+        f_mid += cheb.chebval((mid - centre) / half, coef[:, 0])
+        # f < 0 at the midpoint puts the root in the right half
+        o = lp + (f_mid < 0.0)
+        D = En - En[o][:, None]
+        rows = np.arange(lp.size)
+        lo, hi = D[rows, lp], D[rows, lp + 1]
+        t = 0.5 * (lo + hi)
+        todo = rows
+        for _ in range(_MAX_ITER):
+            tt = t[todo]
+            d = D[todo] - tt[:, None]
+            r = 1.0 / d
+            wr = wn * r
+            fv, fl, fr = cheb.chebval((En[o[todo]] + tt - centre) / half, coef)
+            left = is_left[todo]
+            psi, phi = np.sum(wr, axis=1, where=left), np.sum(wr, axis=1, where=~left)
+            f = shift + psi + phi + fv
+            wr *= r
+            dpsi = np.sum(wr, axis=1, where=left) + fl
+            dphi = np.sum(wr, axis=1, where=~left) + fr
+            # stop once |f| is within its rounding error, bounded as in dlaed4
+            err = 8.0 * (phi - psi + abs(shift) + np.abs(fv)) + np.abs(tt) * (dpsi + dphi)
+            noise = np.abs(f) <= _EPS * err
+            neg = f < 0.0
+            lo[todo[neg]], hi[todo[~neg]] = tt[neg], tt[~neg]
+            l, h = lo[todo], hi[todo]
+            i = np.arange(todo.size)
+            dl, dr = d[i, lp[todo]], d[i, lp[todo] + 1]
+            c = f - dl * dpsi - dr * dphi
+            a = (dl + dr) * f - dl * dr * (dpsi + dphi)
+            b = dl * dr * f
+            disc = np.sqrt(np.abs(a * a - 4.0 * b * c))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                eta = np.where(a > 0.0, 2.0 * b / (a + disc), (a - disc) / (2.0 * c))
+            new = tt + eta
+            new = np.where((new > l) & (new < h), new, 0.5 * (l + h))
+            converged = noise | (np.abs(new - tt) <= 4.0 * _EPS * np.abs(new))
+            t[todo] = np.where(noise, tt, new)
+            todo = todo[~converged]
+            if todo.size == 0:
+                break
+        else:
+            raise NumericalError(
+                f"secular iteration did not converge in {todo.size} gaps "
+                f"after {_MAX_ITER} steps (first: gap {g0 + int(todo[0])} of the active poles)"
+            )
+        origin[g0:g1] = n0 + o
+        tau[g0:g1] = t
+    return origin, tau
+
+
 def point_scatterer_spectrum(
     base: WavevectorSpectrum,
     mode_intensities,
@@ -405,14 +505,15 @@ def point_scatterer_spectrum(
     scatterer position and E_n = k_n^2.  The subtraction kernel makes the
     sum converge; F decreases monotonically between consecutive poles, so
     there is exactly one root per gap whenever both neighbouring
-    intensities are nonzero.  Levels whose mode vanishes at the scatterer
-    do not feel it and are kept unshifted.
+    intensities are nonzero.  With attractive coupling (``coupling < 0``)
+    one more root can lie in (0, E_1), below the first pole.  Levels whose
+    mode vanishes at the scatterer do not feel it and are kept unshifted.
 
     Parameters
     ----------
     base : WavevectorSpectrum
         Unperturbed spectrum, complete up to a truncation well above
-        ``k_max`` (twice ``k_max`` is adequate; see Notes).
+        ``k_max`` (see Notes).
     mode_intensities : array_like
         |psi_n(r0)|^2 for every base level, unit-L2-normalised modes.
     coupling : float
@@ -422,11 +523,28 @@ def point_scatterer_spectrum(
     k_max : float
         Upper edge of the reported perturbed spectrum.
 
+    Raises
+    ------
+    NumericalError
+        If the root iteration fails to converge in some gap.
+
     Notes
     -----
-    Truncating the base at 2*k_max (i.e. 4*k_max^2 in E) shifts the
-    reported roots by well under the root-finder tolerance; doubling the
-    truncation is the standard convergence check.
+    This is the secular equation of the rank-one update diag(E_n) +
+    rho * sqrt(w) sqrt(w)^T (Bunch, Nielsen & Sorensen, Numer. Math. 31,
+    31 (1978)).  All gaps are solved together, in blocks of consecutive
+    gaps: poles near a block are summed exactly, the far poles left and
+    right of it through Chebyshev interpolants of their sums and
+    derivatives, and every gap takes two-pole rational ("middle way")
+    steps in coordinates centred on its nearer pole until the step is at
+    rounding level.  Roots come out to a few ulps, also when a tiny
+    intensity puts a root next to its pole.
+
+    The truncation of the base is not negligible: for the 60-degree,
+    R = 0.8 m sector up to 4.6 GHz at coupling 5, a base to 2*k_max
+    instead of 4*k_max moves the levels by up to 0.12-0.135 mean spacings
+    (median about 1e-3 spacings), far above the root accuracy.  Compare
+    against a doubled truncation to gauge it.
     """
     k_max = check_positive(k_max, "k_max")
     coupling = float(coupling)
@@ -448,36 +566,20 @@ def point_scatterer_spectrum(
         )
 
     E = k**2
-    subtraction = E / (1.0 + E * E)
-    active = w > 0.0
-    Ea = E[active]
-    wa = w[active]
-    sub_a = subtraction[active]
-
-    def g(e: float) -> float:
-        return float(np.sum(wa * (1.0 / (e - Ea) + sub_a))) - inv_coupling
-
     e_max = k_max * k_max
-    roots: list[float] = []
-    # possible root below the first active pole (strong attractive coupling)
-    if g(Ea[0] * 1e-12) < 0.0:
-        lo = Ea[0] * 1e-12
-        hi = Ea[0] * (1.0 - 1e-13)
-        if g(hi) > 0.0:
-            roots.append(brentq(g, lo, hi, xtol=1e-14, rtol=8.9e-16))
-    for i in range(Ea.size - 1):
-        if Ea[i] > e_max:
-            break
-        gap = Ea[i + 1] - Ea[i]
-        lo = Ea[i] + 1e-13 * max(gap, Ea[i])
-        hi = Ea[i + 1] - 1e-13 * max(gap, Ea[i + 1])
-        if lo >= hi:
-            continue
-        glo, ghi = g(lo), g(hi)
-        # F decreases from +inf to -inf across the gap
-        if glo < 0.0 or ghi > 0.0:
-            continue
-        roots.append(brentq(g, lo, hi, xtol=1e-14, rtol=8.9e-16))
-    unshifted = E[(~active) & (E <= e_max)]
-    out = np.sqrt(np.sort(np.concatenate([np.asarray(roots), unshifted])))
+    active = w > 0.0
+    ka, Ea, wa = k[active], E[active], w[active]
+    # roots of f = 1/coupling - F, which increases across every gap
+    shift = inv_coupling - float(np.sum(wa * Ea / (1.0 + Ea * Ea)))
+    if shift + np.sum(wa / Ea) < 0.0:
+        # f(0) < 0: a root below the first pole; a zero-weight pole at E = 0
+        # makes (0, E_1) one more gap
+        ka, Ea, wa = np.r_[0.0, ka], np.r_[0.0, Ea], np.r_[0.0, wa]
+    n_gaps = max(min(int(np.searchsorted(Ea, e_max, side="right")), Ea.size - 1), 0)
+    origin, tau = _secular_roots(Ea, wa, shift, n_gaps)
+    k0 = ka[origin]
+    # sqrt(E0 + tau) - k0 without cancellation: a root next to its pole stays on its side
+    roots = k0 + tau / (k0 + np.sqrt(Ea[origin] + tau))
+    unshifted = k[(~active) & (E <= e_max)]
+    out = np.sort(np.concatenate([roots, unshifted]))
     return WavevectorSpectrum(out[out <= k_max])

@@ -80,3 +80,18 @@ def ecdf_ks(samples: np.ndarray, cdf) -> float:
     f = cdf(s)
     i = np.arange(1, n + 1)
     return float(max(np.max(np.abs(f - i / n)), np.max(np.abs(f - (i - 1) / n))))
+
+
+def point_scatterer_roots_by_eigvalsh(k: np.ndarray, w: np.ndarray, coupling: float, k_max: float) -> np.ndarray:
+    """Perturbed wavevectors in (0, k_max] from a dense symmetric eigensolver.
+
+    With K0 = sum_n w_n E_n/(1 + E_n^2) - 1/coupling, the secular equation
+    sum_n w_n [1/(E - E_n) + E_n/(1 + E_n^2)] = 1/coupling says that E is an
+    eigenvalue of diag(E_n) - sqrt(w) sqrt(w)^T / K0.
+    """
+    E = np.asarray(k, dtype=float) ** 2
+    w = np.asarray(w, dtype=float)
+    k0 = np.sum(w * E / (1.0 + E * E)) - (0.0 if math.isinf(coupling) else 1.0 / coupling)
+    z = np.sqrt(w)
+    lam = np.linalg.eigvalsh(np.diag(E) - np.outer(z, z) / k0)
+    return np.sqrt(lam[(lam > 0.0) & (lam <= k_max * k_max)])

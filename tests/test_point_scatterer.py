@@ -9,7 +9,10 @@ from billiardlab.billiard import (
     point_scatterer_spectrum,
     sector_eigenvalues,
 )
-from billiardlab.errors import InvalidArgumentError
+from billiardlab import billiard
+from billiardlab.errors import InvalidArgumentError, NumericalError
+
+from oracles import point_scatterer_roots_by_eigvalsh
 
 SCATTERER_XY = (0.64, 0.40)  # one-disk setup position, metres
 
@@ -65,6 +68,51 @@ def test_unaffected_modes_survive(sector, base):
     w[10] = 0.0  # kill the coupling of one mode by hand
     perturbed = point_scatterer_spectrum(base, w, coupling=3.0, k_max=30.0)
     assert np.min(np.abs(perturbed.values - base.values[10])) < 1e-12
+
+
+@pytest.mark.parametrize("coupling", [5.0, 2.0, math.inf, -2.0, 1e-9])
+def test_eigvalsh_oracle(base, intensities, coupling):
+    # coupling -2 puts one root below the first pole, in (0, E_1)
+    want = point_scatterer_roots_by_eigvalsh(base.values, intensities, coupling, 30.0)
+    got = point_scatterer_spectrum(base, intensities, coupling, 30.0).values
+    assert got.size == want.size
+    np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
+@pytest.mark.parametrize("coupling", [5.0, -2.0, math.inf])
+def test_eigvalsh_oracle_across_blocks(coupling):
+    # several blocks of gaps, each with poles beyond its near window on both
+    # sides; Poisson spacings and chi-square weights give near-degenerate
+    # poles and tiny intensities
+    rng = np.random.default_rng(7)
+    E = np.cumsum(rng.exponential(1.0, 900)) + 1.0
+    w = rng.chisquare(1, E.size) / (4.0 * np.pi)
+    k_max = math.sqrt(E[600])
+    want = point_scatterer_roots_by_eigvalsh(np.sqrt(E), w, coupling, k_max)
+    got = point_scatterer_spectrum(np.sqrt(E), w, coupling, k_max).values
+    assert got.size == want.size
+    np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
+def test_tiny_intensity_gap_keeps_its_root(sector, base):
+    # a weight of 1e-12 puts the root within ~1e-13 of its pole; it must
+    # still be found, strictly inside its gap
+    w = np.asarray(mode_intensities_at(sector, base, *SCATTERER_XY)).copy()
+    w[10] = 1e-12
+    k_max = 30.0
+    perturbed = point_scatterer_spectrum(base, w, coupling=3.0, k_max=k_max).values
+    poles = base.values[(w > 0.0) & (base.values <= k_max)]
+    per_gap = np.searchsorted(perturbed, poles[1:], side="left") - np.searchsorted(
+        perturbed, poles[:-1], side="right"
+    )
+    assert np.all(per_gap == 1)
+    assert perturbed.size == 18
+
+
+def test_nonconvergence_raises(base, intensities, monkeypatch):
+    monkeypatch.setattr(billiard, "_MAX_ITER", 1)
+    with pytest.raises(NumericalError):
+        point_scatterer_spectrum(base, intensities, coupling=5.0, k_max=30.0)
 
 
 def test_truncation_convergence(sector):

@@ -49,7 +49,7 @@ class TestStrengthSamples:
 class TestK0Pdf:
     def test_normalisation(self):
         val, _ = quad(
-            lambda z: float(k0_strength_pdf([z]).ordinate[0]), -12.0, 6.0, limit=300
+            lambda z: float(k0_strength_pdf([z]).ordinate[0]), -60.0, 8.0, limit=300
         )
         assert val == pytest.approx(1.0, abs=1e-6)
 
