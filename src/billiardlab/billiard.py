@@ -19,8 +19,8 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import jv
+from scipy.optimize import brentq  # noqa: F401  (uncalled: perfbench/tracing.py wraps this name)
+from scipy.special import ai_zeros, jv
 
 from .errors import InvalidArgumentError, NotFoundError, NumericalError
 from .validation import as_float_array, check_ascending, check_positive
@@ -52,11 +52,6 @@ def frequency_to_wavevector(f_hz: float) -> float:
     return 2.0 * math.pi * f_hz / SPEED_OF_LIGHT
 
 
-def wavevector_to_frequency(k: float) -> float:
-    """f = c0*k/(2*pi) in Hz."""
-    return SPEED_OF_LIGHT * k / (2.0 * math.pi)
-
-
 @dataclass(frozen=True)
 class SectorGeometry:
     """Circle sector 0 <= r < radius, 0 < phi < angle (radians)."""
@@ -76,14 +71,6 @@ class SectorGeometry:
     @property
     def perimeter(self) -> float:
         return (2.0 + self.angle) * self.radius
-
-    def contains(self, x, y) -> np.ndarray:
-        """Boolean mask of points strictly inside the open sector."""
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        r = np.hypot(x, y)
-        phi = np.arctan2(y, x)
-        return (r < self.radius) & (phi > 0.0) & (phi < self.angle)
 
 
 @dataclass(frozen=True)
@@ -129,18 +116,23 @@ def validate_scatterers(geom: SectorGeometry, disks: list[DiskScatterer]) -> Non
 
 @dataclass
 class WavevectorSpectrum:
-    """Ascending eigen-wavevectors (1/m), optionally labelled by (m, nu)."""
+    """Ascending eigen-wavevectors (1/m), optionally labelled by (m, nu); a sector
+    spectrum also holds J_{order+1}(k_n R) in ``bessel_next`` (see ``_mode_norm``)."""
 
     values: np.ndarray
     labels: list[tuple[int, int]] | None = None
+    bessel_next: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self.values = as_float_array(self.values, "values")
         if self.values.size and self.values[0] <= 0.0:
             raise InvalidArgumentError("spectrum values must be positive")
         check_ascending(self.values, "spectrum values")
-        if self.labels is not None and len(self.labels) != self.values.size:
-            raise InvalidArgumentError("labels and values must have equal length")
+        if self.bessel_next is not None:
+            self.bessel_next = as_float_array(self.bessel_next, "bessel_next")
+        lengths = {len(a) for a in (self.labels, self.bessel_next) if a is not None}
+        if lengths - {self.values.size}:
+            raise InvalidArgumentError("labels and bessel_next must have the length of values")
 
     def __len__(self) -> int:
         return self.values.size
@@ -177,43 +169,82 @@ class IntensityMap:
 # Bessel zeros
 # ----------------------------------------------------------------------
 
-_SCAN_STEP = 0.5 * math.pi  # below the minimal zero spacing of J_nu (> pi)
+_HALLEY_MAX_ITER = 8
+_EPS = np.finfo(float).eps
 
 
-def _zeros_upto(order: float, x_max: float) -> np.ndarray:
-    """All positive zeros of J_order in (0, x_max], ascending.
+def _zero_seeds(nu: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Asymptotic estimates of j_{nu,s}, the s-th positive zero of J_nu.
 
-    Zeros of J_nu lie above nu and consecutive zeros are separated by more
-    than pi, so a sign scan with step pi/2 brackets every zero exactly once.
+    Orders >= 1 use Olver's uniform expansion with its first correction,
+    nu*z(zeta) + f1(zeta)/nu at zeta = nu^(-2/3) a_s, a_s the s-th zero of Ai
+    (DLMF 10.20.3, 10.20.11, 10.21.43-44); lower orders use three terms of
+    McMahon's expansion (DLMF 10.21.19).
     """
-    if x_max <= order:
-        return np.empty(0)
-    start = max(order, 1e-12)
-    grid = np.arange(start, x_max + _SCAN_STEP, _SCAN_STEP)
-    grid[-1] = x_max
-    vals = jv(order, grid)
-    sign = np.sign(vals)
-    idx = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-    zeros = [
-        brentq(lambda x: jv(order, x), grid[i], grid[i + 1], xtol=1e-15, rtol=8.9e-16)
-        for i in idx
-    ]
-    exact = grid[np.nonzero(vals == 0.0)[0]]
-    if exact.size:
-        zeros = sorted(set(zeros) | set(exact.tolist()))
-    out = np.asarray(zeros)
-    return out[out <= x_max]
+    seed = np.empty(nu.size)
+    small = nu < 1.0
+    mu, b8 = 4.0 * nu[small] ** 2, 8.0 * math.pi * (s[small] + 0.5 * nu[small] - 0.25)
+    seed[small] = b8 / 8.0 - (mu - 1.0) / b8 - 4.0 * (mu - 1.0) * (7.0 * mu - 31.0) / (3.0 * b8**3)
+    v = nu[~small]
+    mzeta = -ai_zeros(int(s.max(initial=1)))[0][s[~small] - 1] * v ** (-2.0 / 3.0)
+    # z(zeta) = sqrt(1 + p^2) with p - arctan(p) = t, convex and increasing in p:
+    # Newton from the small-p asymptote reaches 1e-10 in five steps for 1e-9 <= t <= 1e7
+    t = (2.0 / 3.0) * mzeta**1.5
+    p = np.cbrt(3.0 * t)
+    for _ in range(5):
+        p -= (p - np.arctan(p) - t) * (1.0 + p * p) / (p * p)
+    z = np.sqrt(1.0 + p * p)
+    b0 = -5.0 / (48.0 * mzeta**2) + (5.0 / (24.0 * p**3) + 1.0 / (8.0 * p)) / np.sqrt(mzeta)
+    # f1 = z h^2 b0 / 2 with h^2 = 2 sqrt(-zeta) / p
+    seed[~small] = v * z + z * np.sqrt(mzeta) * b0 / (p * v)
+    return seed
+
+
+def _bessel_zeros(nu: np.ndarray, s: np.ndarray, reach: float = math.inf):
+    """Zeros j_{nu,s} of the candidates whose seed lies below ``reach``.
+
+    The candidates come order by order, s = 1, 2, ... within each order.
+    From the seeds of ``_zero_seeds`` every entry takes Halley steps, with
+    J' = (nu/z) J_nu - J_{nu+1} and J'' from Bessel's equation, until the
+    step predicts an error below one ulp.  Returns the mask of kept
+    candidates, their zeros and J_{nu+1} there.  Raises NumericalError after
+    ``_HALLEY_MAX_ITER`` steps, or when an order's zeros are not ascending
+    more than pi/2 apart (a seed converged to its neighbour's zero).
+    """
+    z = _zero_seeds(nu, s)
+    keep = z <= reach
+    nu, s, z = nu[keep], s[keep], z[keep]
+    todo, steps = np.arange(z.size), 0
+    while todo.size and steps < _HALLEY_MAX_ITER:
+        steps += 1
+        v, x = nu[todo], z[todo]
+        f = jv(v, x)
+        d1 = v / x * f - jv(v + 1.0, x)
+        h = f / d1
+        step = h / (1.0 + 0.5 * h * (1.0 / x + (1.0 - (v / x) ** 2) * f / d1))
+        z[todo] = x - step
+        # Halley's error constant at a zero of J_nu is below 1/6, so the error
+        # left is below |step|^3 / 6; NaN stays in the loop
+        todo = todo[~(np.abs(step) ** 3 <= 6.0 * _EPS * z[todo])]
+    if todo.size:
+        raise NumericalError(
+            f"{todo.size} Bessel zeros not converged after {_HALLEY_MAX_ITER} Halley steps "
+            f"(first: order {nu[todo[0]]}, index {s[todo[0]]})"
+        )
+    # j_{nu,1} - nu and the gaps between zeros of one order exceed pi/2 for all nu >= 0
+    bad = np.flatnonzero(~(z - np.where(s == 1, nu, np.roll(z, 1)) > 0.5 * math.pi))
+    if bad.size:
+        raise NumericalError(f"Bessel zeros of order {nu[bad[0]]} collide at index {s[bad[0]]}")
+    return keep, z, jv(nu + 1.0, z)
 
 
 def bessel_order_zeros(order: float, count: int) -> np.ndarray:
-    """First ``count`` positive zeros of J_order, each to ~1e-12 relative.
+    """First ``count`` >= 1 positive zeros of J_order, order >= 0.
 
-    Parameters
-    ----------
-    order : float
-        Bessel order, >= 0.
-    count : int
-        Number of zeros, >= 1.
+    Each zero is seeded from McMahon's expansion (order < 1) or Olver's
+    uniform expansion (order >= 1) and refined by Halley steps; see
+    ``_bessel_zeros``.  The tests compare with ``mpmath.besseljzero`` at
+    rtol 1e-13 (orders 0, 0.25, 0.5 and 300; measured: within 2.2e-16).
     """
     order = float(order)
     if not math.isfinite(order) or order < 0.0:
@@ -221,14 +252,7 @@ def bessel_order_zeros(order: float, count: int) -> np.ndarray:
     count = int(count)
     if count < 1:
         raise InvalidArgumentError("count must be >= 1")
-    # first zero sits near the McMahon/Airy estimate; zeros then follow with
-    # spacing -> pi, so extend the scan window until enough are found
-    x_max = order + 1.86 * max(order, 1.0) ** (1.0 / 3.0) + (count + 2) * math.pi
-    while True:
-        zeros = _zeros_upto(order, x_max)
-        if zeros.size >= count:
-            return zeros[:count]
-        x_max += (count - zeros.size + 2) * math.pi
+    return _bessel_zeros(np.full(count, order), np.arange(1, count + 1))[1]
 
 
 # ----------------------------------------------------------------------
@@ -239,36 +263,33 @@ def sector_eigenvalues(geom: SectorGeometry, k_max: float) -> WavevectorSpectrum
     """All eigen-wavevectors of the sector billiard up to ``k_max``.
 
     Solves J_{m*pi/theta}(k R) = 0 for every angular index m >= 1 and
-    labels each solution by (m, nu) with nu the radial zero index.  The m
-    iteration stops once the first zero of order m*pi/theta exceeds
-    ``k_max * R``, which makes the returned spectrum complete.
+    labels each solution by (m, nu) with nu the radial zero index.  The
+    zeros of all orders are refined together from asymptotic seeds (see
+    ``_bessel_zeros``); the tests compare them with ``mpmath.besseljzero``
+    at rtol 1e-13 for the orders 2.5 m up to kR = 60 (measured: within
+    2.2e-16).  The spectrum keeps J_{order+1}(k R) as ``bessel_next``.
     """
     k_max = check_positive(k_max, "k_max")
     x_max = k_max * geom.radius
-    values: list[float] = []
-    labels: list[tuple[int, int]] = []
-    m = 1
-    while True:
-        order = m * math.pi / geom.angle
-        zeros = _zeros_upto(order, x_max)
-        if zeros.size == 0:
-            # zeros of J_nu exceed nu, and the first zero grows with order:
-            # no further m can contribute
-            break
-        values.extend(zeros / geom.radius)
-        labels.extend((m, s) for s in range(1, zeros.size + 1))
-        m += 1
-    values = np.asarray(values)
-    idx = np.argsort(values, kind="stable")
-    return WavevectorSpectrum(values[idx], [labels[i] for i in idx])
+    reach = x_max + 1.0  # seeds lie well within 1 of their zeros
+    step = math.pi / geom.angle
+    m = np.arange(1, math.ceil(reach / step))  # zeros of J_nu exceed nu
+    # J_nu has about phase/pi + 1/4 zeros below reach (Debye); two more cover the error
+    c = np.minimum(m * step / reach, 1.0)
+    count = (reach * (np.sqrt(1.0 - c * c) - c * np.arccos(c)) / math.pi + 0.25).astype(np.intp) + 2
+    m = np.repeat(m, count)
+    s = np.arange(m.size) - np.repeat(np.cumsum(count) - count, count) + 1
+    keep, zeros, bessel_next = _bessel_zeros(m * step, s, reach)
+    idx = np.argsort(zeros, kind="stable")
+    idx = idx[zeros[idx] <= x_max]
+    labels = list(zip(m[keep][idx].tolist(), s[keep][idx].tolist()))
+    return WavevectorSpectrum(zeros[idx] / geom.radius, labels, bessel_next[idx])
 
 
-def _mode_norm(geom: SectorGeometry, order: float, zero: float) -> float:
-    """L2 norm^2 of sin(m pi phi/theta) J_order(k r) over the sector.
-
-    For J_order(zero) = 0 the radial integral is (R^2/2) J_{order+1}(zero)^2.
-    """
-    return 0.25 * geom.angle * geom.radius**2 * jv(order + 1.0, zero) ** 2
+def _mode_norm(geom: SectorGeometry, bessel_next):
+    """L2 norm^2 of sin(m pi phi/theta) J_order(k r) over the sector, from
+    the radial integral (R^2/2) J_{order+1}(k R)^2 at J_order(k R) = 0."""
+    return 0.25 * geom.angle * geom.radius**2 * np.square(bessel_next)
 
 
 def sector_mode_amplitude(geom: SectorGeometry, m: int, nu: int, x, y) -> np.ndarray:
@@ -282,15 +303,15 @@ def sector_mode_amplitude(geom: SectorGeometry, m: int, nu: int, x, y) -> np.nda
     if m < 1 or nu < 1:
         raise NotFoundError(f"no sector mode with label ({m}, {nu})")
     order = m * math.pi / geom.angle
-    zero = float(bessel_order_zeros(order, nu)[-1])
-    k = zero / geom.radius
+    _, zeros, bessel_next = _bessel_zeros(np.full(nu, order), np.arange(1, nu + 1))
+    k = zeros[-1] / geom.radius
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     r = np.hypot(x, y)
     phi = np.arctan2(y, x)
     # tolerate one ulp of rounding for points constructed on the boundary
     inside = (r <= geom.radius * (1.0 + 1e-12)) & (phi >= 0.0) & (phi <= geom.angle)
-    amp = np.sin(order * phi) * jv(order, k * r) / math.sqrt(_mode_norm(geom, order, zero))
+    amp = np.sin(order * phi) * jv(order, k * r) / math.sqrt(_mode_norm(geom, bessel_next[-1]))
     return np.where(inside, amp, np.nan)
 
 
@@ -316,18 +337,15 @@ def mode_intensities_at(
     geom: SectorGeometry, spectrum: WavevectorSpectrum, x: float, y: float
 ) -> np.ndarray:
     """|psi_n(x, y)|^2 of every labelled level, for the normalised modes."""
-    if spectrum.labels is None:
-        raise InvalidArgumentError("spectrum must carry (m, nu) labels")
+    if spectrum.labels is None or spectrum.bessel_next is None:
+        raise InvalidArgumentError("spectrum needs labels and bessel_next, see sector_eigenvalues")
     r = math.hypot(x, y)
     phi = math.atan2(y, x)
     if not (r < geom.radius and 0.0 < phi < geom.angle):
         raise InvalidArgumentError(f"point ({x}, {y}) lies outside the sector")
-    ms = np.array([m for m, _ in spectrum.labels], dtype=float)
-    orders = ms * math.pi / geom.angle
-    zeros = spectrum.values * geom.radius
-    norm = 0.25 * geom.angle * geom.radius**2 * jv(orders + 1.0, zeros) ** 2
-    amp2 = np.sin(orders * phi) ** 2 * jv(orders, spectrum.values * r) ** 2 / norm
-    return amp2
+    orders = np.array([m for m, _ in spectrum.labels], dtype=float) * math.pi / geom.angle
+    amp2 = np.sin(orders * phi) ** 2 * jv(orders, spectrum.values * r) ** 2
+    return amp2 / _mode_norm(geom, spectrum.bessel_next)
 
 
 # ----------------------------------------------------------------------
@@ -397,7 +415,6 @@ _BLOCK_GAPS = 128
 _NEAR_WINDOW = 128
 _FAR_DEGREE = 24
 _MAX_ITER = 60
-_EPS = np.finfo(float).eps
 
 
 def _secular_roots(E, w, shift: float, n_gaps: int) -> tuple[np.ndarray, np.ndarray]:

@@ -13,10 +13,6 @@ class NotFoundError(BilliardLabError, KeyError):
     """A requested label or entry does not exist."""
 
 
-class DataError(BilliardLabError):
-    """An input file or data stream cannot be parsed."""
-
-
 class NumericalError(BilliardLabError):
     """A numerical procedure failed to produce a usable result."""
 

@@ -18,9 +18,7 @@ __all__ = [
     "as_float_array",
     "as_complex_array",
     "check_ascending",
-    "check_finite_scalar",
     "check_positive",
-    "check_in_range",
 ]
 
 
@@ -51,22 +49,8 @@ def check_ascending(arr: np.ndarray, name: str, strict: bool = True) -> None:
         raise InvalidArgumentError(f"{name} must be ascending")
 
 
-def check_finite_scalar(x, name: str) -> float:
-    x = float(x)
-    if not math.isfinite(x):
-        raise InvalidArgumentError(f"{name} must be finite, got {x!r}")
-    return x
-
-
 def check_positive(x, name: str, allow_inf: bool = False) -> float:
     x = float(x)
     if math.isnan(x) or x <= 0 or (not allow_inf and math.isinf(x)):
         raise InvalidArgumentError(f"{name} must be positive, got {x!r}")
-    return x
-
-
-def check_in_range(x, name: str, lo: float, hi: float) -> float:
-    x = check_finite_scalar(x, name)
-    if not (lo <= x <= hi):
-        raise InvalidArgumentError(f"{name} must lie in [{lo}, {hi}], got {x!r}")
     return x

@@ -1,16 +1,22 @@
+import json
 import math
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import jv
 
+from billiardlab import billiard
 from billiardlab.billiard import (
     DiskScatterer,
     SectorGeometry,
+    WavevectorSpectrum,
     WeylParams,
     bessel_order_zeros,
     fit_weyl_constant,
     frequency_to_wavevector,
+    mode_intensities_at,
     sector_eigenvalues,
     sector_mode_amplitude,
     sector_wavefunction,
@@ -18,9 +24,12 @@ from billiardlab.billiard import (
     validate_scatterers,
     weyl_count,
 )
-from billiardlab.errors import InvalidArgumentError, NotFoundError
+from billiardlab.errors import InvalidArgumentError, NotFoundError, NumericalError
 
 from oracles import bessel_zero_by_bisection
+
+# mpmath.besseljzero values, written by tests/data/make_besseljzero.py
+BESSELJZERO = json.loads((Path(__file__).parent / "data" / "besseljzero.json").read_text())
 
 
 class TestBesselZeros:
@@ -53,6 +62,28 @@ class TestBesselZeros:
     def test_residuals_tiny(self):
         zeros = bessel_order_zeros(5.5, 20)
         assert np.max(np.abs(jv(5.5, zeros))) < 1e-13
+
+    @pytest.mark.parametrize("order", [0.0, 0.25, 0.5])
+    def test_small_orders_against_mpmath(self, order):
+        # McMahon seeds; below order 1/2 the zeros are less than pi apart
+        expected = [float(mpmath.besseljzero(order, s)) for s in range(1, 6)]
+        np.testing.assert_allclose(bessel_order_zeros(order, 5), expected, rtol=1e-13)
+
+    def test_transition_region_against_mpmath(self):
+        # order 300: the first zeros sit in the Airy transition region
+        np.testing.assert_allclose(bessel_order_zeros(300, 3), BESSELJZERO["order_300"], rtol=1e-13)
+
+    def test_nonconvergence_raises(self, monkeypatch):
+        monkeypatch.setattr(billiard, "_HALLEY_MAX_ITER", 1)
+        with pytest.raises(NumericalError):
+            bessel_order_zeros(0.0, 5)
+
+    def test_seed_on_neighbouring_zero_raises(self, monkeypatch):
+        # seeds 1 and 2 both at the first zero: the order would lose a zero
+        seeds = billiard._zero_seeds
+        monkeypatch.setattr(billiard, "_zero_seeds", lambda nu, s: seeds(nu, np.maximum(s - 1, 1)))
+        with pytest.raises(NumericalError):
+            bessel_order_zeros(3.0, 4)
 
     def test_invalid_arguments(self):
         with pytest.raises(InvalidArgumentError):
@@ -114,6 +145,19 @@ class TestSectorEigenvalues:
 
         assert missing_level_scan(sector_spectrum_46.values, sector_weyl_46, window=20) == []
 
+    def test_non_integer_orders_against_mpmath(self):
+        # angle 2*pi/5: orders 2.5 m, every zero of every order up to kR = 60
+        table = BESSELJZERO["sector"]
+        geom = SectorGeometry(radius=1.0, angle=2.0 * math.pi / 5.0)
+        spec = sector_eigenvalues(geom, table["x_max"])
+        by_m = {}
+        for (m, _), k in zip(spec.labels, spec.values):
+            by_m.setdefault(str(m), []).append(k)
+        expected = table["zeros_by_m"]
+        assert {m: len(z) for m, z in by_m.items()} == {m: len(z) for m, z in expected.items()}
+        for m, zeros in expected.items():
+            np.testing.assert_allclose(by_m[m], zeros, rtol=1e-13)
+
     def test_invalid_k_max(self, sector):
         with pytest.raises(InvalidArgumentError):
             sector_eigenvalues(sector, 0.0)
@@ -166,6 +210,19 @@ class TestWavefunction:
         m = sector_wavefunction(sector, 1, 1, grid_spacing=h)
         total = np.nansum(m.values) * h * h
         assert total == pytest.approx(1.0, abs=0.01)
+
+    def test_intensities_match_mode_amplitudes(self, sector, sector_spectrum_46):
+        # the stored J_{order+1} must follow its level through the sort by k
+        w = mode_intensities_at(sector, sector_spectrum_46, 0.64, 0.40)
+        for i in range(0, len(sector_spectrum_46), 12):
+            m, nu = sector_spectrum_46.labels[i]
+            amp = sector_mode_amplitude(sector, m, nu, 0.64, 0.40)
+            assert w[i] == pytest.approx(amp**2, rel=1e-10)
+
+    def test_intensities_need_bessel_next(self, sector, sector_spectrum_46):
+        bare = WavevectorSpectrum(sector_spectrum_46.values, sector_spectrum_46.labels)
+        with pytest.raises(InvalidArgumentError):
+            mode_intensities_at(sector, bare, 0.64, 0.40)
 
     def test_unknown_label(self, sector):
         with pytest.raises(NotFoundError):
