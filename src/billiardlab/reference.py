@@ -22,6 +22,7 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.linalg import eigvalsh_tridiagonal
 
 from .errors import InvalidArgumentError
 from .statistics import StatCurve
@@ -153,9 +154,7 @@ def semicircle_counting(eigenvalues: np.ndarray, n: int, radius: float) -> np.nd
     return n * (0.5 + (e * np.sqrt(1.0 - e**2) + np.arcsin(e)) / math.pi)
 
 
-def generate_reference_sequence(
-    model: str, n_levels: int, seed=None, sequences: int = 1
-) -> UnfoldedSpectrum:
+def generate_reference_sequence(model: str, n_levels: int, seed=None, sequences: int = 1) -> UnfoldedSpectrum:
     """Random unfolded sequences following one of the reference models.
 
     poisson
@@ -165,8 +164,12 @@ def generate_reference_sequence(
         exact factor 2 (the construction reproduces P(s) = 4 s e^-2s
         exactly in distribution).
     goe
-        Eigenvalues of a sampled GOE matrix of dimension 2*n_levels;
-        the central half is kept and unfolded with the semicircle law.
+        Eigenvalues of the tridiagonal GOE model of Dumitriu and Edelman
+        (J. Math. Phys. 43, 5830 (2002)) of dimension N = 2*n_levels:
+        diagonal N(0, 2 sigma^2), off-diagonal sigma * chi_k, k = N-1, ..., 1,
+        sigma^2 = 1/(4N).  LAPACK's sterf computes all N (selecting an index
+        range is slower); the central half is kept and unfolded with the
+        integrated semicircle law of radius 1.
     """
     model = _check_model(model)
     n_levels = int(n_levels)
@@ -184,22 +187,17 @@ def generate_reference_sequence(
             gaps = rng.exponential(1.0, 2 * n_levels).reshape(n_levels, 2).sum(axis=1)
             out.append(np.cumsum(0.5 * gaps))
         else:
-            out.append(_goe_sequence(rng, n_levels))
+            central = _goe_eigenvalues(rng, 2 * n_levels)[n_levels // 2 : n_levels // 2 + n_levels]
+            out.append(semicircle_counting(central, 2 * n_levels, 1.0))
     return UnfoldedSpectrum(out, provenance=f"{model} reference")
 
 
-def _goe_sequence(rng: np.random.Generator, n_levels: int) -> np.ndarray:
-    # dimension 2n so that the central half yields exactly n levels
-    n_dim = 2 * n_levels
+def _goe_eigenvalues(rng: np.random.Generator, n_dim: int) -> np.ndarray:
+    """All eigenvalues, ascending, of a GOE matrix with semicircle radius 1."""
     sd = 1.0 / math.sqrt(4.0 * n_dim)
-    h = rng.normal(0.0, sd, (n_dim, n_dim))
-    h = np.triu(h, 1)
-    h = h + h.T
-    np.fill_diagonal(h, rng.normal(0.0, math.sqrt(2.0) * sd, n_dim))
-    eig = np.linalg.eigvalsh(h)
-    lo = n_levels // 2
-    central = eig[lo : lo + n_levels]
-    return semicircle_counting(central, n_dim, 1.0)
+    diagonal = rng.normal(0.0, math.sqrt(2.0) * sd, n_dim)
+    off_diagonal = sd * np.sqrt(rng.chisquare(np.arange(n_dim - 1, 0, -1)))
+    return eigvalsh_tridiagonal(diagonal, off_diagonal, lapack_driver="sterf")
 
 
 def spacing_ks(u: UnfoldedSpectrum, model: str, rescale: bool = True) -> float:

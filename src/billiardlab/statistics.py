@@ -2,8 +2,8 @@
 
 All measures operate on :class:`~billiardlab.unfolding.UnfoldedSpectrum`
 objects, i.e. on levels rescaled to unit mean spacing.  Long-range
-statistics average over overlapping windows sliding in steps of L/4
-within each complete sequence and then across sequences.
+statistics average over windows sliding in steps of L/4, swept for all L
+in one chunked pass per complete sequence, and then across sequences.
 """
 
 from __future__ import annotations
@@ -90,67 +90,93 @@ def cumulative_spacing(u: UnfoldedSpectrum) -> StatCurve:
     return StatCurve(abscissa, ordinate)
 
 
-def _window_starts(seq: np.ndarray, L: float, stride: float) -> np.ndarray:
-    span = seq[-1] - seq[0]
-    if span <= L:
-        return np.empty(0)
-    n_windows = int(math.floor((span - L) / stride)) + 1
-    return seq[0] + stride * np.arange(n_windows)
+# Windows swept at once: few enough that the heap keeps a piece's temporaries
+# between calls instead of handing them back to the OS to be faulted in anew.
+# An L with more windows is swept in pieces into one buffer of its values.
+_SWEEP_BUDGET = 2**12
 
 
-def number_variance(
-    u: UnfoldedSpectrum, lengths, stride_fraction: float = 0.25
-) -> StatCurve:
+def _window_lengths(u: UnfoldedSpectrum, lengths, stride_fraction: float) -> np.ndarray:
+    lengths = as_float_array(lengths, "lengths")
+    if lengths.size == 0 or np.any(lengths <= 0.0) or not stride_fraction > 0.0:
+        raise InvalidArgumentError("window lengths (at least one) and stride_fraction must be positive")
+    L_max = lengths.max()
+    for i, seq in enumerate(u.sequences):
+        if seq.size < 2 * L_max or seq[-1] - seq[0] <= L_max:
+            raise InvalidArgumentError(f"sequences[{i}] needs 2*max(L) levels and a span above max(L) = {L_max}")
+    return lengths
+
+
+def _window_sums(sequences, lengths: np.ndarray, stride_fraction: float, statistic):
+    """Per L: sums of a per-window statistic and of the level counts, and the window count.
+
+    Windows of length L start at seq[0] + k * stride_fraction * L while they
+    fit.  ``statistic(seq, lengths)`` returns ``values(starts, lo, hi, L, j)``,
+    a value per window from its start, levels [lo, hi), L and its index j.  All L
+    are laid end to end and located by one searchsorted pair; each L is summed
+    by its own np.add.reduce (np.sum) over its slice, then across sequences.
+    """
+    strides = stride_fraction * lengths
+    sums, count_sums = np.zeros(lengths.size), np.zeros(lengths.size)
+    n_windows = np.zeros(lengths.size, dtype=int)
+    for seq in sequences:
+        span = seq[-1] - seq[0]
+        n = np.where(span > lengths, np.floor((span - lengths) / strides) + 1.0, 0.0).astype(int)
+        bounds = np.concatenate([[0], np.cumsum(n)])
+        values = statistic(seq, lengths)
+        first = 0
+        while first < lengths.size:
+            base = bounds[first]
+            last = max(first + 1, int(np.searchsorted(bounds, base + _SWEEP_BUDGET, side="right")) - 1)
+            vals = np.empty(bounds[last] - base)
+            for a in range(base, bounds[last], _SWEEP_BUDGET):
+                b = min(a + _SWEEP_BUDGET, bounds[last])
+                j = np.repeat(np.arange(first, last), np.diff(np.clip(bounds[first : last + 1], a, b)))
+                starts = strides[j] * (np.arange(a, b) - bounds[j]) + seq[0]
+                L = lengths[j]
+                lo = np.searchsorted(seq, starts, side="left")
+                hi = np.searchsorted(seq, starts + L, side="left")
+                vals[a - base : b - base] = values(starts, lo, hi, L, j)
+                count_sums += np.bincount(j, weights=hi - lo, minlength=lengths.size)
+            for i in range(first, last):
+                sums[i] += float(np.add.reduce(vals[bounds[i] - base : bounds[i + 1] - base]))
+            first = last
+        n_windows += n
+    if not np.all(n_windows):
+        raise InvalidArgumentError(f"no window of length {lengths[n_windows == 0][0]} fits any sequence")
+    return sums, count_sums, n_windows
+
+
+def _sigma2_statistic(seq: np.ndarray, lengths: np.ndarray):
+    return lambda starts, lo, hi, L, j: (hi - lo - L) ** 2
+
+
+def number_variance(u: UnfoldedSpectrum, lengths, stride_fraction: float = 0.25) -> StatCurve:
     """Number variance Sigma^2(L) = <(N(L) - L)^2> over sliding windows.
 
     Windows of length L slide in steps of ``stride_fraction * L`` within
     each sequence; window results are pooled across sequences with equal
-    weight per window.  A :class:`QualityWarning` is emitted when the mean
-    count deviates from L by more than 5%.
+    weight per window.  One :class:`QualityWarning` names every L whose mean
+    count is off L by more than 5% of L and more than three standard errors,
+    sqrt(var(N) L / span) with span summed over the sequences (windows of one
+    L are independent about once per L): correct spans, off by sqrt(levels), pass.
     """
-    lengths = as_float_array(lengths, "lengths")
-    if np.any(lengths <= 0.0):
-        raise InvalidArgumentError("window lengths must be positive")
-    L_max = lengths.max()
-    for i, seq in enumerate(u.sequences):
-        if seq.size < 2 * L_max:
-            raise InvalidArgumentError(
-                f"sequences[{i}] has {seq.size} levels; need >= 2*max(L) = {2 * L_max:.0f}"
-            )
-        if seq[-1] - seq[0] <= L_max:
-            raise InvalidArgumentError(f"window length {L_max} exceeds the span of sequences[{i}]")
-    ordinate = np.empty(lengths.size)
-    n_windows = np.zeros(lengths.size, dtype=int)
-    for j, L in enumerate(lengths):
-        sq_sum = 0.0
-        count_sum = 0.0
-        total = 0
-        for seq in u.sequences:
-            starts = _window_starts(seq, L, stride_fraction * L)
-            if starts.size == 0:
-                continue
-            counts = np.searchsorted(seq, starts + L, side="left") - np.searchsorted(
-                seq, starts, side="left"
-            )
-            sq_sum += float(np.sum((counts - L) ** 2))
-            count_sum += float(np.sum(counts))
-            total += starts.size
-        if total == 0:
-            raise InvalidArgumentError(f"no window of length {L} fits any sequence")
-        ordinate[j] = sq_sum / total
-        n_windows[j] = total
-        mean_count = count_sum / total
-        if abs(mean_count - L) > 0.05 * L:
-            warnings.warn(
-                f"mean window count {mean_count:.3f} deviates from L={L} by more than 5%",
-                QualityWarning,
-                stacklevel=2,
-            )
-    return StatCurve(lengths, ordinate, n_windows)
+    lengths = _window_lengths(u, lengths, stride_fraction)
+    sq_sums, count_sums, n_windows = _window_sums(u.sequences, lengths, stride_fraction, _sigma2_statistic)
+    curve = StatCurve(lengths, sq_sums / n_windows, n_windows)
+    deviation = np.abs(count_sums / n_windows - lengths)
+    span = sum(seq[-1] - seq[0] for seq in u.sequences)
+    standard_error = np.sqrt(np.maximum(curve.ordinate - deviation**2, 0.0) * lengths / span)
+    bad = (deviation > 0.05 * lengths) & (deviation > 3.0 * standard_error)
+    if np.any(bad):
+        named = ", ".join(f"{L:g}" for L in lengths[bad])
+        message = f"mean window count deviates from L by more than 5% and 3 standard errors at L = {named}"
+        warnings.warn(message, QualityWarning, stacklevel=2)
+    return curve
 
 
-def _delta3_windows(seq: np.ndarray, L: float, stride: float) -> np.ndarray:
-    """Exact least-squares staircase deviation for every window position.
+def _delta3_statistic(seq: np.ndarray, lengths: np.ndarray):
+    """Exact least-squares staircase deviation of every window.
 
     Within a window [x, x+L] centred at c the staircase (counted locally)
     is piecewise constant, so the integrals entering the linear fit reduce
@@ -162,65 +188,40 @@ def _delta3_windows(seq: np.ndarray, L: float, stride: float) -> np.ndarray:
 
     and Delta3 = I3/L - (I1/L)^2 - (L^2/12) (12 I2 / L^3)^2.
     """
-    starts = _window_starts(seq, L, stride)
-    if starts.size == 0:
-        return np.empty(0)
-    lo = np.searchsorted(seq, starts, side="left")
-    hi = np.searchsorted(seq, starts + L, side="left")
-    m = (hi - lo).astype(float)
     p1 = np.concatenate([[0.0], np.cumsum(seq)])
     p2 = np.concatenate([[0.0], np.cumsum(seq**2)])
     p3 = np.concatenate([[0.0], np.cumsum(np.arange(1, seq.size + 1) * seq)])
-    c = starts + 0.5 * L
-    sum_e = p1[hi] - p1[lo]
-    sum_e2 = p2[hi] - p2[lo]
-    # rank-weighted sum with ranks restarting at 1 inside each window
-    sum_je = (p3[hi] - p3[lo]) - lo * sum_e
-    sum_u = sum_e - m * c
-    sum_u2 = sum_e2 - 2.0 * c * sum_e + m * c**2
-    sum_ju = sum_je - c * 0.5 * m * (m + 1.0)
-    i1 = 0.5 * m * L - sum_u
-    i2 = 0.5 * (0.25 * m * L**2 - sum_u2)
-    i3 = 0.5 * m**2 * L - 2.0 * sum_ju + sum_u
-    a = i1 / L
-    b = 12.0 * i2 / L**3
-    return i3 / L - a**2 - (L**2 / 12.0) * b**2
+    squares = np.array([L**2 for L in lengths])  # scalar powers: array powers differ in the last bit
+    cubes = np.array([L**3 for L in lengths])
+    def values(starts, lo, hi, L, j):
+        # intermediates are inlined or deleted early: live piece-sized arrays cost time
+        m = (hi - lo).astype(float)
+        c = starts + 0.5 * L
+        sum_e = p1[hi] - p1[lo]
+        sum_u = sum_e - m * c
+        sum_u2 = (p2[hi] - p2[lo]) - 2.0 * c * sum_e + m * c**2
+        # rank-weighted sum with ranks restarting at 1 inside each window
+        sum_ju = (p3[hi] - p3[lo]) - lo * sum_e - c * 0.5 * m * (m + 1.0)
+        del c, sum_e
+        i3 = 0.5 * m**2 * L - 2.0 * sum_ju + sum_u
+        a = (0.5 * m * L - sum_u) / L
+        b = 12.0 * (0.5 * (0.25 * m * squares[j] - sum_u2)) / cubes[j]
+        del m, sum_u, sum_u2, sum_ju
+        return i3 / L - a**2 - (squares[j] / 12.0) * b**2
+
+    return values
 
 
-def dyson_mehta(
-    u: UnfoldedSpectrum, lengths, stride_fraction: float = 0.25
-) -> StatCurve:
+def dyson_mehta(u: UnfoldedSpectrum, lengths, stride_fraction: float = 0.25) -> StatCurve:
     """Spectral rigidity Delta3(L): least-squares deviation of the staircase.
 
     Per window the minimising straight line is obtained in closed form
     from the piecewise-analytic integrals of the staircase; the quadratic
     deviation is averaged over window positions and sequences.
     """
-    lengths = as_float_array(lengths, "lengths")
-    if np.any(lengths <= 0.0):
-        raise InvalidArgumentError("window lengths must be positive")
-    L_max = lengths.max()
-    for i, seq in enumerate(u.sequences):
-        if seq.size < 2 * L_max:
-            raise InvalidArgumentError(
-                f"sequences[{i}] has {seq.size} levels; need >= 2*max(L) = {2 * L_max:.0f}"
-            )
-        if seq[-1] - seq[0] <= L_max:
-            raise InvalidArgumentError(f"window length {L_max} exceeds the span of sequences[{i}]")
-    ordinate = np.empty(lengths.size)
-    n_windows = np.zeros(lengths.size, dtype=int)
-    for j, L in enumerate(lengths):
-        acc = 0.0
-        total = 0
-        for seq in u.sequences:
-            vals = _delta3_windows(seq, L, stride_fraction * L)
-            acc += float(vals.sum())
-            total += vals.size
-        if total == 0:
-            raise InvalidArgumentError(f"no window of length {L} fits any sequence")
-        ordinate[j] = acc / total
-        n_windows[j] = total
-    return StatCurve(lengths, ordinate, n_windows)
+    lengths = _window_lengths(u, lengths, stride_fraction)
+    sums, _, n_windows = _window_sums(u.sequences, lengths, stride_fraction, _delta3_statistic)
+    return StatCurve(lengths, sums / n_windows, n_windows)
 
 
 def _sided_values(grid: np.ndarray, absc: np.ndarray, ordv: np.ndarray):

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
 from billiardlab.errors import InvalidArgumentError
 from billiardlab.reference import (
+    _goe_eigenvalues,
     delta3_curve,
     generate_reference_sequence,
     reference_curve,
@@ -15,7 +17,7 @@ from billiardlab.reference import (
 )
 from billiardlab.statistics import dyson_mehta, number_variance
 
-from oracles import ecdf_ks
+from oracles import ecdf_ks, goe_dense_unfolded
 
 
 class TestClosedForms:
@@ -119,3 +121,22 @@ class TestReferenceAgainstSampled:
         u = generate_reference_sequence("poisson", 500, seed=79, sequences=100)
         mc = number_variance(u, [10.0]).ordinate[0]
         assert mc == pytest.approx(10.0, rel=0.05)
+
+
+class TestGoeAgainstDenseOracle:
+    def test_spacings_match_dense_goe(self):
+        # pooled unfolded spacings of 150 tridiagonal and 150 dense spectra;
+        # the same tridiagonal model at beta = 2 (GUE) gives p ~ 1e-7 here
+        tridiagonal = generate_reference_sequence("goe", 100, seed=83, sequences=150).spacings()
+        rng = np.random.default_rng(89)
+        dense = np.concatenate([np.diff(goe_dense_unfolded(rng, 100)) for _ in range(150)])
+        assert ks_2samp(tridiagonal, dense).pvalue > 1e-3
+
+    def test_mean_trace_of_square(self):
+        # E[tr H^2] = n (n+1) sigma^2 = (n+1)/4 at sigma^2 = 1/(4n), with
+        # variance 4 n (n+1) sigma^4 = (n+1)/(4n) per matrix
+        n, matrices = 200, 400
+        rng = np.random.default_rng(97)
+        trace = np.array([np.sum(_goe_eigenvalues(rng, n) ** 2) for _ in range(matrices)])
+        standard_error = math.sqrt((n + 1) / (4.0 * n) / matrices)
+        assert abs(trace.mean() - (n + 1) / 4.0) < 4.0 * standard_error

@@ -1,12 +1,17 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from billiardlab.errors import InvalidArgumentError
+from billiardlab.errors import InvalidArgumentError, QualityWarning
 from billiardlab.reference import generate_reference_sequence, spacing_cdf
 from billiardlab.statistics import (
     StatCurve,
+    _delta3_statistic,
+    _sigma2_statistic,
+    _window_sums,
     cumulative_spacing,
     dyson_mehta,
     ks_distance,
@@ -15,7 +20,13 @@ from billiardlab.statistics import (
 )
 from billiardlab.unfolding import UnfoldedSpectrum
 
-from oracles import delta3_window_direct, ecdf_ks, number_variance_direct
+from oracles import (
+    delta3_window_direct,
+    dyson_mehta_frozen,
+    ecdf_ks,
+    number_variance_direct,
+    number_variance_frozen,
+)
 
 
 def picket(n):
@@ -161,3 +172,108 @@ class TestKsDistance:
         bad = StatCurve(grid, np.sin(6.0 * grid))
         with pytest.raises(InvalidArgumentError):
             ks_distance(good, bad)
+
+
+L_GRID = np.arange(0.5, 20.5, 0.5)
+
+
+def unequal_sequences():
+    rng = np.random.default_rng(101)
+    # 1200 levels at L = 0.3 make about 16000 windows: more than one piece
+    return [np.cumsum(rng.exponential(1.0, n)) for n in (90, 230, 400, 1200)]
+
+
+def assert_sweep_matches_frozen(sequences, lengths, stride_fraction):
+    for statistic, frozen in ((_sigma2_statistic, number_variance_frozen), (_delta3_statistic, dyson_mehta_frozen)):
+        sums, _, n_windows = _window_sums(sequences, lengths, stride_fraction, statistic)
+        ordinate, frozen_windows = frozen(sequences, lengths, stride_fraction)
+        assert np.array_equal(n_windows, frozen_windows)
+        assert np.array_equal(sums / n_windows, ordinate)
+
+
+class TestWindowSweep:
+    """The window sweep against the per-(L, sequence) loops, bit for bit."""
+
+    def test_public_functions_on_unequal_sequences(self):
+        sequences = unequal_sequences()
+        u = UnfoldedSpectrum(sequences)
+        lengths = np.array([0.3, 0.5, 0.5, 1.7, 7.0, 7.0, 12.25, 30.0, 44.9])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", QualityWarning)
+            s2 = number_variance(u, lengths)
+        d3 = dyson_mehta(u, lengths)
+        for curve, frozen in ((s2, number_variance_frozen), (d3, dyson_mehta_frozen)):
+            ordinate, n_windows = frozen(sequences, lengths)
+            assert np.array_equal(curve.ordinate, ordinate)
+            assert np.array_equal(curve.counts, n_windows)
+
+    @pytest.mark.parametrize("stride_fraction", [0.25, 0.4])
+    def test_unsorted_and_repeated_lengths(self, stride_fraction):
+        lengths = np.array([7.0, 0.5, 20.0, 0.3, 0.5, 3.3, 44.0, 7.0])
+        assert_sweep_matches_frozen(unequal_sequences(), lengths, stride_fraction)
+
+    def test_lengths_without_windows_in_some_sequences(self):
+        sequences = unequal_sequences()
+        sequences[1] = sequences[1][:25]
+        lengths = np.array([2.0, 30.0, 80.0, 150.0, 0.75])
+        spans = [seq[-1] - seq[0] for seq in sequences]
+        assert min(spans) < 30.0 and sorted(spans)[1] < 150.0
+        assert_sweep_matches_frozen(sequences, lengths, 0.25)
+
+    def test_no_window_anywhere_rejected(self):
+        with pytest.raises(InvalidArgumentError):
+            _window_sums([np.arange(10.0)], np.array([2.0, 50.0]), 0.25, _sigma2_statistic)
+
+    @pytest.mark.parametrize("statistic", [number_variance, dyson_mehta])
+    @pytest.mark.parametrize("lengths, stride_fraction", [([], 0.25), ([5.0], 0.0), ([5.0], -0.25)])
+    def test_invalid_windows_rejected(self, statistic, lengths, stride_fraction):
+        with pytest.raises(InvalidArgumentError):
+            statistic(picket(100), lengths, stride_fraction=stride_fraction)
+
+    @pytest.mark.parametrize(
+        "new, frozen", [(number_variance, number_variance_frozen), (dyson_mehta, dyson_mehta_frozen)]
+    )
+    def test_peak_memory_near_frozen_loops(self, new, frozen):
+        u = generate_reference_sequence("poisson", 4603, seed=7)
+        peaks = []
+        for run in (lambda: new(u, L_GRID), lambda: frozen(u.sequences, L_GRID)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", QualityWarning)
+                tracemalloc.start()
+                try:
+                    run()
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+        assert peaks[0] <= 1.25 * peaks[1]
+
+
+def quality_warnings(u):
+    with warnings.catch_warnings(record=True) as log:
+        warnings.simplefilter("always")
+        number_variance(u, L_GRID)
+    return [w for w in log if issubclass(w.category, QualityWarning)]
+
+
+def rescaled(model, seed, factor):
+    return UnfoldedSpectrum([factor * generate_reference_sequence(model, 229, seed=seed).sequences[0]])
+
+
+class TestNumberVarianceWarning:
+    @pytest.mark.parametrize("model", ["poisson", "semi-poisson", "goe"])
+    def test_rare_on_correct_sequences(self, model):
+        # the span of 229 Poisson levels fluctuates by ~sqrt(229), 6.6%;
+        # a 5% rule alone warned on nearly every such sequence
+        warned = [bool(quality_warnings(rescaled(model, 1000 + s, 1.0))) for s in range(60)]
+        assert np.mean(warned) <= 0.1
+
+    def test_one_warning_naming_l_on_mis_unfolded_goe(self):
+        for s in range(20):
+            log = quality_warnings(rescaled("goe", 2000 + s, 1.1))
+            assert len(log) == 1
+            named = [float(x) for x in str(log[0].message).split("at L = ")[1].split(", ")]
+            assert 20.0 in named and set(named) <= set(L_GRID)
+
+    def test_mis_unfolded_poisson_mostly_caught(self):
+        warned = [bool(quality_warnings(rescaled("poisson", 3000 + s, 1.3))) for s in range(60)]
+        assert np.mean(warned) >= 0.75
