@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError, QualityWarning
 from .unfolding import UnfoldedSpectrum
-from .validation import as_float_array
+from .validation import as_float_array, check_ascending
 
 __all__ = [
     "StatCurve",
@@ -41,8 +41,7 @@ class StatCurve:
         self.ordinate = np.asarray(self.ordinate, dtype=float)
         if self.abscissa.shape != self.ordinate.shape:
             raise InvalidArgumentError("abscissa and ordinate must have equal length")
-        if np.any(np.diff(self.abscissa) < 0.0):
-            raise InvalidArgumentError("abscissa must be ascending")
+        check_ascending(self.abscissa, "abscissa", strict=False)
         if self.counts is not None:
             self.counts = np.asarray(self.counts)
             if self.counts.shape != self.abscissa.shape:
@@ -74,6 +73,12 @@ def spacing_distribution(u: UnfoldedSpectrum, bin_width: float = 0.1) -> StatCur
     return StatCurve(centers, density, counts)
 
 
+def _step_curve(sorted_samples: np.ndarray) -> StatCurve:
+    """Empirical cdf of sorted samples with both corner points at every jump."""
+    steps = np.arange(sorted_samples.size + 1.0) / sorted_samples.size
+    return StatCurve(np.repeat(sorted_samples, 2), np.column_stack([steps[:-1], steps[1:]]).ravel())
+
+
 def cumulative_spacing(u: UnfoldedSpectrum) -> StatCurve:
     """Empirical cumulative I(s) of the pooled spacings.
 
@@ -81,13 +86,7 @@ def cumulative_spacing(u: UnfoldedSpectrum) -> StatCurve:
     that a sup-norm comparison against a reference curve recovers the exact
     Kolmogorov-Smirnov statistic.
     """
-    s = np.sort(_pooled_spacings(u))
-    n = s.size
-    lo = (np.arange(n)) / n
-    hi = (np.arange(n) + 1.0) / n
-    abscissa = np.repeat(s, 2)
-    ordinate = np.column_stack([lo, hi]).ravel()
-    return StatCurve(abscissa, ordinate)
+    return _step_curve(np.sort(_pooled_spacings(u)))
 
 
 # Windows swept at once: few enough that the heap keeps a piece's temporaries
@@ -98,6 +97,7 @@ _SWEEP_BUDGET = 2**12
 
 def _window_lengths(u: UnfoldedSpectrum, lengths, stride_fraction: float) -> np.ndarray:
     lengths = as_float_array(lengths, "lengths")
+    check_ascending(lengths, "lengths", strict=False)
     if lengths.size == 0 or np.any(lengths <= 0.0) or not stride_fraction > 0.0:
         raise InvalidArgumentError("window lengths (at least one) and stride_fraction must be positive")
     L_max = lengths.max()
@@ -231,36 +231,24 @@ def _sided_values(grid: np.ndarray, absc: np.ndarray, ordv: np.ndarray):
     (as produced by :func:`cumulative_spacing`).  Outside the support the
     curve is clamped to its terminal values.
     """
-    ux, first = np.unique(absc, return_index=True)
-    last = np.searchsorted(absc, ux, side="right") - 1
-    lo_v = ordv[first]
-    hi_v = ordv[last]
-    lo = np.empty(grid.size)
-    hi = np.empty(grid.size)
-    pos = np.searchsorted(ux, grid, side="left")
-    on_knot = (pos < ux.size) & (np.take(ux, pos, mode="clip") == grid)
-    below = grid < ux[0]
-    above = grid > ux[-1]
-    inside = ~(on_knot | below | above)
-    lo[below] = hi[below] = lo_v[0]
-    lo[above] = hi[above] = hi_v[-1]
-    lo[on_knot] = lo_v[pos[on_knot]]
-    hi[on_knot] = hi_v[pos[on_knot]]
-    if np.any(inside):
-        j = pos[inside]
-        t = (grid[inside] - ux[j - 1]) / (ux[j] - ux[j - 1])
-        val = hi_v[j - 1] + t * (lo_v[j] - hi_v[j - 1])
-        lo[inside] = hi[inside] = val
+    right = np.searchsorted(absc, grid, side="right") - 1  # last knot at or below
+    left = np.searchsorted(absc, grid, side="left")  # first knot at or above
+    lo = ordv[np.minimum(left, absc.size - 1)]
+    hi = ordv[np.maximum(right, 0)]
+    between = (left > right) & (right >= 0) & (left < absc.size)
+    r, k = right[between], left[between]
+    t = (grid[between] - absc[r]) / (absc[k] - absc[r])
+    lo[between] = hi[between] = hi[between] + t * (lo[between] - hi[between])
     return lo, hi
 
 
 def ks_distance(empirical: StatCurve, reference: StatCurve) -> float:
     """Sup-norm distance between two cumulative curves.
 
-    Both inputs must be (weakly) monotone.  The supremum is taken over the
-    union of the two grids, comparing the one-sided limits of each curve so
-    that step curves with repeated abscissa points (jump corners) are
-    handled exactly.
+    Both inputs must be (weakly) monotone.  Both are linear between their
+    knots, repeated abscissa points encoding jumps, so the supremum sits at
+    a one-sided limit on a knot: comparing the one-sided limits of each
+    curve over the union of the two grids gives it exactly.
     """
     for name, curve in (("empirical", empirical), ("reference", reference)):
         if np.any(np.diff(curve.ordinate) < -1e-12):

@@ -6,6 +6,7 @@ from scipy.stats import ks_2samp
 
 from billiardlab.errors import InvalidArgumentError
 from billiardlab.reference import (
+    MODELS,
     _goe_eigenvalues,
     delta3_curve,
     generate_reference_sequence,
@@ -16,8 +17,9 @@ from billiardlab.reference import (
     spacing_pdf,
 )
 from billiardlab.statistics import dyson_mehta, number_variance
+from billiardlab.unfolding import UnfoldedSpectrum
 
-from oracles import ecdf_ks, goe_dense_unfolded
+from oracles import ecdf_ks, goe_dense_unfolded, semi_poisson_delta3, spacing_ks_frozen
 
 
 class TestClosedForms:
@@ -44,6 +46,11 @@ class TestClosedForms:
         d = delta3_curve("semi-poisson", [12.0]).ordinate[0]
         assert 1.0 / 12.0 < d < 12.0 / 15.0
 
+    def test_semi_poisson_delta3_closed_form(self):
+        L = np.geomspace(0.25, 500.0, 60)
+        expected = [semi_poisson_delta3(x) for x in L]
+        np.testing.assert_allclose(delta3_curve("semi-poisson", L).ordinate, expected, rtol=1e-12)
+
     def test_aliases_accepted(self):
         a = reference_curve("goe", "Σ²", [5.0]).ordinate[0]
         b = reference_curve("goe", "sigma2", [5.0]).ordinate[0]
@@ -60,6 +67,13 @@ class TestClosedForms:
     def test_negative_grid_rejected(self):
         with pytest.raises(InvalidArgumentError):
             reference_curve("poisson", "sigma2", [-1.0])
+
+    @pytest.mark.parametrize("model", MODELS)
+    @pytest.mark.parametrize("curve", [sigma2_curve, delta3_curve])
+    @pytest.mark.parametrize("L", [0.0, -1.0])
+    def test_nonpositive_lengths_rejected(self, model, curve, L):
+        with pytest.raises(InvalidArgumentError):
+            curve(model, [L, 2.0])
 
 
 class TestGenerators:
@@ -81,8 +95,10 @@ class TestGenerators:
         assert ks < 0.02
 
     def test_goe_ks_to_wigner(self):
-        u = generate_reference_sequence("goe", 500, seed=53)
-        assert spacing_ks(u, "goe") < 0.03
+        # pooled over 20 sequences: seeds 0-199 give a median of 0.0106 and at
+        # most 0.0167; semi-Poisson gives >= 0.083, GUE-like spacings >= 0.061
+        u = generate_reference_sequence("goe", 500, seed=53, sequences=20)
+        assert spacing_ks(u, "goe") < 0.02
 
     def test_goe_mean_spacing_unity(self):
         u = generate_reference_sequence("goe", 500, seed=59)
@@ -140,3 +156,31 @@ class TestGoeAgainstDenseOracle:
         trace = np.array([np.sum(_goe_eigenvalues(rng, n) ** 2) for _ in range(matrices)])
         standard_error = math.sqrt((n + 1) / (4.0 * n) / matrices)
         assert abs(trace.mean() - (n + 1) / 4.0) < 4.0 * standard_error
+
+
+def ks_inputs():
+    """Generated spectra of 1-3 sequences, and one with tied spacings."""
+    spectra = [
+        generate_reference_sequence(model, 120, seed=300 + 10 * k + sequences, sequences=sequences)
+        for k, model in enumerate(MODELS)
+        for sequences in (1, 2, 3)
+    ]
+    return spectra + [UnfoldedSpectrum([np.array([0.0, 1.0, 2.0, 3.0, 5.0, 6.0, 6.5, 7.0])])]
+
+
+class TestSpacingKs:
+    """spacing_ks through ks_distance against its own former formula."""
+
+    @pytest.mark.parametrize("model", MODELS)
+    @pytest.mark.parametrize("rescale", [True, False])
+    def test_bitwise_frozen_and_ecdf_oracle(self, model, rescale):
+        cdf = lambda s: spacing_cdf(model, s)
+        for u in ks_inputs():
+            ks = spacing_ks(u, model, rescale=rescale)
+            assert ks == spacing_ks_frozen(u.spacings(), cdf, rescale)
+            s = u.spacings() / u.spacings().mean() if rescale else u.spacings()
+            assert ks == pytest.approx(ecdf_ks(s, cdf), abs=1e-15)
+
+    def test_no_spacings_rejected(self):
+        with pytest.raises(InvalidArgumentError, match="no spacings"):
+            spacing_ks(UnfoldedSpectrum([np.array([1.0])]), "goe")

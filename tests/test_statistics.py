@@ -4,12 +4,17 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from billiardlab import statistics
 from billiardlab.errors import InvalidArgumentError, QualityWarning
 from billiardlab.reference import generate_reference_sequence, spacing_cdf
 from billiardlab.statistics import (
     StatCurve,
     _delta3_statistic,
+    _sided_values,
     _sigma2_statistic,
     _window_sums,
     cumulative_spacing,
@@ -24,8 +29,11 @@ from oracles import (
     delta3_window_direct,
     dyson_mehta_frozen,
     ecdf_ks,
+    ks_distance_frozen,
     number_variance_direct,
     number_variance_frozen,
+    sided_values_frozen,
+    step_curve_frozen,
 )
 
 
@@ -174,6 +182,53 @@ class TestKsDistance:
             ks_distance(good, bad)
 
 
+@st.composite
+def monotone_curves(draw):
+    """Piecewise-linear monotone curve; repeated knots (jumps) are likely."""
+    knots = draw(st.lists(st.integers(0, 15), min_size=1, max_size=25))
+    absc = np.sort(np.array(knots, dtype=float)) * draw(st.floats(0.05, 4.0))
+    ordv = np.sort(draw(arrays(float, absc.size, elements=st.floats(-2.0, 2.0))))
+    return absc, ordv
+
+
+class TestSidedValuesAgainstFrozen:
+    """Two searchsorted passes against the knot-table version, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        curve=monotone_curves(),
+        points=st.lists(st.floats(-10.0, 70.0), max_size=40),
+        on_knots=st.lists(st.integers(0, 24), max_size=10),
+    )
+    def test_one_sided_limits(self, curve, points, on_knots):
+        absc, ordv = curve
+        # grid points off the knots, reaching past both ends of the support, and on knots
+        grid = np.concatenate([np.array(points), absc[np.array(on_knots, dtype=int) % absc.size]])
+        lo, hi = _sided_values(grid, absc, ordv)
+        frozen_lo, frozen_hi = sided_values_frozen(grid, absc, ordv)
+        assert np.array_equal(lo, frozen_lo) and np.array_equal(hi, frozen_hi)
+
+    @settings(max_examples=100, deadline=None)
+    @given(a=monotone_curves(), b=monotone_curves())
+    def test_ks_distance_of_random_curves(self, a, b):
+        assert ks_distance(StatCurve(*a), StatCurve(*b)) == ks_distance_frozen(*a, *b)
+
+    def test_poisson_vs_wigner_pair(self):
+        grid = np.linspace(0.0, 12.0, 200_001)
+        p, w = spacing_cdf("poisson", grid), spacing_cdf("goe", grid)
+        assert ks_distance(StatCurve(grid, p), StatCurve(grid, w)) == ks_distance_frozen(grid, p, grid, w)
+
+    @pytest.mark.parametrize("model", ["poisson", "goe", "semi-poisson"])
+    def test_step_curve_against_gridded_reference(self, model):
+        u = generate_reference_sequence(model, 229, seed=37, sequences=3)
+        curve = cumulative_spacing(u)
+        absc, ordv = step_curve_frozen(np.sort(u.spacings()))
+        assert np.array_equal(curve.abscissa, absc) and np.array_equal(curve.ordinate, ordv)
+        grid = np.linspace(0.0, 6.0, 601)
+        ref = spacing_cdf(model, grid)
+        assert ks_distance(curve, StatCurve(grid, ref)) == ks_distance_frozen(absc, ordv, grid, ref)
+
+
 L_GRID = np.arange(0.5, 20.5, 0.5)
 
 
@@ -219,6 +274,15 @@ class TestWindowSweep:
         spans = [seq[-1] - seq[0] for seq in sequences]
         assert min(spans) < 30.0 and sorted(spans)[1] < 150.0
         assert_sweep_matches_frozen(sequences, lengths, 0.25)
+
+    @pytest.mark.parametrize("statistic", [number_variance, dyson_mehta])
+    def test_unsorted_lengths_rejected_before_sweep(self, statistic, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("the sweep ran on unsorted lengths")
+
+        monkeypatch.setattr(statistics, "_window_sums", unreachable)
+        with pytest.raises(InvalidArgumentError, match="ascending"):
+            statistic(picket(100), [5.0, 2.0, 2.0])
 
     def test_no_window_anywhere_rejected(self):
         with pytest.raises(InvalidArgumentError):
