@@ -20,7 +20,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import find_peaks, peak_widths
+from scipy.signal import find_peaks
 from scipy.special import k0 as bessel_k0
 
 from .errors import InvalidArgumentError
@@ -144,6 +144,11 @@ class ResonanceGuess:
     amplitude: float
 
 
+# Prominence floor in units of the noise sigma per quadrature: pure complex
+# noise reaches 4.8-5.4 sigma over 300k samples (seeds 0-9).
+_NOISE_PROMINENCE = 8.0
+
+
 def detect_peaks(trace: ComplexTrace, prominence: float) -> list[ResonanceGuess]:
     """Initial resonance guesses from the modulus of the trace.
 
@@ -151,27 +156,31 @@ def detect_peaks(trace: ComplexTrace, prominence: float) -> list[ResonanceGuess]
     |S_aa|.  The width guess comes from the half-prominence crossing: for
     the modulus of an isolated pole the full width at half maximum equals
     sqrt(3)*G off the diagonal and G for a shallow reflection dip.
+
+    The noise sigma per quadrature is estimated from the differenced trace,
+    sigma = median|diff(S)| / (1.1774 * sqrt(2)) (the median of a Rayleigh
+    variable with sigma*sqrt(2) per quadrature).  A peak is kept when its
+    prominence reaches max(``prominence``, 8 sigma) and it is at least 2
+    samples wide at half prominence, so noise spikes are dropped.
     """
     if len(trace) <= 10:
         raise InvalidArgumentError("trace must be longer than 10 samples")
     prominence = check_positive(prominence, "prominence")
+    sigma = float(np.median(np.abs(np.diff(trace.values)))) / (1.1774 * math.sqrt(2.0))
     mag = np.abs(trace.values)
     signal = -mag if trace.is_diagonal else mag
-    idx, props = find_peaks(signal, prominence=prominence)
-    if idx.size == 0:
-        return []
-    widths_samples = peak_widths(signal, idx, rel_height=0.5)[0]
-    step = float(np.mean(np.diff(trace.frequencies)))
+    idx, props = find_peaks(signal, prominence=max(prominence, _NOISE_PROMINENCE * sigma), width=2.0)
+    step = (trace.frequencies[-1] - trace.frequencies[0]) / (len(trace) - 1)
     guesses = []
     for j, i in enumerate(idx):
-        fwhm_hz = max(widths_samples[j] * step, step)
+        fwhm_hz = props["widths"][j] * step
         if trace.is_diagonal:
             gamma = fwhm_hz
             amplitude = 0.5 * props["prominences"][j] * gamma
         else:
             gamma = fwhm_hz / math.sqrt(3.0)
             amplitude = 0.5 * mag[i] * gamma
-        guesses.append(ResonanceGuess(float(trace.frequencies[i]), gamma, float(amplitude)))
+        guesses.append(ResonanceGuess(float(trace.frequencies[i]), float(gamma), float(amplitude)))
     return guesses
 
 
@@ -179,26 +188,35 @@ def detect_peaks(trace: ComplexTrace, prominence: float) -> list[ResonanceGuess]
 # Damped least-squares fit
 # ----------------------------------------------------------------------
 
-def _bw_model_jacobian(params: np.ndarray, f: np.ndarray, delta: float):
-    """Model values and complex Jacobian for the packed parameter vector.
+# Steps under this fraction of every standard error only polish below the noise: going on
+# to ``tol`` takes 1.5x the iterations on 50/200-pole traces and moves values < 2e-4 of one.
+_SE_STEP = 1e-3
+
+
+def _bw_model(params: np.ndarray, f: np.ndarray, delta: float):
+    """Model values and the (R, M) inverse denominators for the packed parameters.
 
     Layout: [f_1, a_1, w_1, ..., f_R, a_R, w_R, bg_re, bg_im] with the
     width reparametrised as G = exp(w) to keep it positive.
     """
     n_res = (params.size - 2) // 3
-    centers = params[0 : 3 * n_res : 3]
-    amps = params[1 : 3 * n_res : 3]
-    gammas = np.exp(params[2 : 3 * n_res : 3])
-    denom = f[:, None] - centers[None, :] + 0.5j * gammas[None, :]
-    s = (-1j * amps[None, :] / denom).sum(axis=1) + delta + params[-2] + 1j * params[-1]
-    jac = np.empty((f.size, params.size), dtype=complex)
-    inv2 = denom**-2
-    jac[:, 0 : 3 * n_res : 3] = -1j * amps[None, :] * inv2
-    jac[:, 1 : 3 * n_res : 3] = -1j / denom
-    jac[:, 2 : 3 * n_res : 3] = -0.5 * amps[None, :] * gammas[None, :] * inv2
-    jac[:, -2] = 1.0
-    jac[:, -1] = 1j
-    return s, jac
+    inv = np.reciprocal(f - params[0 : 3 * n_res : 3, None] + 0.5j * np.exp(params[2 : 3 * n_res : 3, None]))
+    s = -1j * (params[1 : 3 * n_res : 3] @ inv) + (delta + params[-2] + 1j * params[-1])
+    return s, inv
+
+
+def _bw_jacobian(params: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """Complex Jacobian as contiguous (P, M) rows, one per parameter."""
+    n_res = inv.shape[0]
+    amps = params[1 : 3 * n_res : 3, None]
+    inv2 = inv * inv
+    jac = np.empty((params.size, inv.shape[1]), dtype=complex)
+    jac[0 : 3 * n_res : 3] = -1j * amps * inv2
+    jac[1 : 3 * n_res : 3] = -1j * inv
+    jac[2 : 3 * n_res : 3] = (-0.5 * np.exp(params[2 : 3 * n_res : 3, None])) * amps * inv2
+    jac[-2] = 1.0
+    jac[-1] = 1j
+    return jac
 
 
 def _lm_minimise(p0, f, data, delta, max_iter, tol):
@@ -207,49 +225,57 @@ def _lm_minimise(p0, f, data, delta, max_iter, tol):
     The quadratic local model is solved with Levenberg damping scaled by
     the normal-matrix diagonal; the damping grows on every rejected step
     and shrinks after an accepted one, so the accepted cost sequence is
-    nonincreasing by construction.
+    nonincreasing by construction.  Every log-width is clipped to
+    [log(sample step), log(window span)].  The fit stops after an accepted
+    step that is below ``_SE_STEP`` of every parameter's standard error
+    sqrt(sigma^2 / N_ii), sigma^2 = cost/dof (never looser than the true
+    standard error, since 1/N_ii <= (N^-1)_ii), or below ``tol`` relative
+    to every parameter, which ends exact-model fits where sigma -> 0.
     """
     p = np.asarray(p0, dtype=float).copy()
-    s, jac = _bw_model_jacobian(p, f, delta)
+    span = f[-1] - f[0]
+    log_width = slice(2, p.size - 2, 3)
+    bounds = (math.log(span / (f.size - 1)), math.log(span))
+    p[log_width] = np.clip(p[log_width], *bounds)
+    s, inv = _bw_model(p, f, delta)
     residual = s - data
     cost = float(np.vdot(residual, residual).real)
     history = [cost]
+    dof = max(2 * f.size - p.size, 1)
     mu = 1e-3
-    converged = False
-    message = "reached max_iter"
     for _ in range(max_iter):
-        jr = np.vstack([jac.real, jac.imag])
-        rr = np.concatenate([residual.real, residual.imag])
-        normal = jr.T @ jr
-        gradient = jr.T @ rr
-        scale = np.diag(normal).copy()
-        scale[scale <= 0.0] = 1.0
-        rel_step = np.inf
+        jv = _bw_jacobian(p, inv).view(float)
+        normal = jv @ jv.T
+        gradient = jv @ residual.view(float)
+        info = normal.diagonal().copy()
+        scale = np.where(info > 0.0, info, 1.0)
         while True:
+            damped = normal.copy()
+            damped.flat[:: p.size + 1] += mu * scale
             try:
-                step = np.linalg.solve(normal + mu * np.diag(scale), -gradient)
+                trial = p + np.linalg.solve(damped, -gradient)
             except np.linalg.LinAlgError:
-                mu *= 10.0
-                continue
-            trial = p + step
-            s_new, jac_new = _bw_model_jacobian(trial, f, delta)
-            residual_new = s_new - data
-            cost_new = float(np.vdot(residual_new, residual_new).real)
-            if cost_new <= cost:
-                rel_step = float(np.max(np.abs(step) / (np.abs(p) + 1e-300)))
-                p, s, jac, residual, cost = trial, s_new, jac_new, residual_new, cost_new
-                history.append(cost)
-                mu = max(mu / 3.0, 1e-14)
-                break
+                trial = None
+            if trial is not None:
+                trial[log_width] = np.clip(trial[log_width], *bounds)
+                s_new, inv_new = _bw_model(trial, f, delta)
+                residual_new = s_new - data
+                cost_new = float(np.vdot(residual_new, residual_new).real)
+                if cost_new <= cost:
+                    break
             mu *= 5.0
             if mu > 1e15:
-                message = "damping overflow: no descent direction found"
-                return p, cost, history, False, message, normal
+                return p, cost, history, False, "damping overflow: no descent direction found", normal
+        step = trial - p
+        rel_step = float(np.max(np.abs(step) / (np.abs(p) + 1e-300)))
+        p, inv, residual, cost = trial, inv_new, residual_new, cost_new
+        history.append(cost)
+        mu = max(mu / 3.0, 1e-14)
         if rel_step < tol:
-            converged = True
-            message = "converged"
-            break
-    return p, cost, history, converged, message, normal
+            return p, cost, history, True, "converged: relative step below tol", normal
+        if np.all(step * step * info < _SE_STEP**2 * cost / dof):
+            return p, cost, history, True, f"converged: step below {_SE_STEP:g} standard errors", normal
+    return p, cost, history, False, "reached max_iter", normal
 
 
 def _cluster_guesses(guesses, half_width: float):
@@ -283,7 +309,11 @@ def fit_resonances(
     own complex constant background accounting for the tails of
     neighbouring resonances.  The squared modulus of (model - data) is
     minimised jointly over real and imaginary parts by damped
-    least-squares; widths stay positive through a log reparametrisation.
+    least-squares; widths stay within [sample step, window span] through a
+    clipped log reparametrisation.  A window fit stops once an accepted
+    step moves every parameter by less than 1e-3 of its standard error, or
+    by less than ``tol`` relative to its value (exact models, where the
+    standard errors vanish); ``FitReport.message`` names the rule.
 
     A fit that does not converge is returned flagged
     (``Resonance.converged = False``) together with diagnostics in the
@@ -300,51 +330,29 @@ def fit_resonances(
     for cluster in _cluster_guesses(guesses, window_half_width):
         lo = min(g.center - window_half_width * g.width for g in cluster)
         hi = max(g.center + window_half_width * g.width for g in cluster)
-        sel = (f >= lo) & (f <= hi)
-        if np.sum(sel) < 8 * len(cluster):
+        i0, i1 = np.searchsorted(f, lo, "left"), np.searchsorted(f, hi, "right")
+        if i1 - i0 < 8 * len(cluster):
             raise InvalidArgumentError(
-                f"window [{lo:g}, {hi:g}] holds {int(np.sum(sel))} samples; "
-                f"need >= 8 per resonance"
+                f"window [{lo:g}, {hi:g}] holds {i1 - i0} samples; need >= 8 per resonance"
             )
-        fw = f[sel]
-        data = trace.values[sel]
-        p0 = np.empty(3 * len(cluster) + 2)
-        for j, g in enumerate(cluster):
-            p0[3 * j : 3 * j + 3] = (g.center, g.amplitude, math.log(g.width))
-        p0[-2:] = 0.0
-        p, cost, history, ok, message, normal = _lm_minimise(
-            p0, fw, data, delta, max_iter, tol
-        )
-        dof = max(2 * fw.size - p.size, 1)
-        sigma2 = cost / dof
+        p0 = np.zeros(3 * len(cluster) + 2)
+        p0[:-2] = [x for g in cluster for x in (g.center, g.amplitude, math.log(g.width))]
+        p, cost, history, ok, message, normal = _lm_minimise(p0, f[i0:i1], trace.values[i0:i1], delta, max_iter, tol)
         try:
-            cov_diag = sigma2 * np.diag(np.linalg.inv(normal))
+            cov_diag = cost / max(2 * (i1 - i0) - p.size, 1) * np.diag(np.linalg.inv(normal))
         except np.linalg.LinAlgError:
             cov_diag = np.full(p.size, np.nan)
-        cov_diag = np.where(cov_diag > 0.0, cov_diag, np.nan)
+        err = np.sqrt(np.where(cov_diag > 0.0, cov_diag, np.nan))
         for j in range(len(cluster)):
             gamma = math.exp(p[3 * j + 2])
             resonances.append(
                 Resonance(
-                    center=p[3 * j],
-                    width=gamma,
-                    amplitude=abs(p[3 * j + 1]),
-                    center_error=math.sqrt(cov_diag[3 * j]) if cov_diag[3 * j] > 0 else float("nan"),
-                    amplitude_error=math.sqrt(cov_diag[3 * j + 1]) if cov_diag[3 * j + 1] > 0 else float("nan"),
-                    width_error=gamma * math.sqrt(cov_diag[3 * j + 2]) if cov_diag[3 * j + 2] > 0 else float("nan"),
-                    converged=ok,
+                    center=p[3 * j], width=gamma, amplitude=abs(p[3 * j + 1]), center_error=err[3 * j],
+                    amplitude_error=err[3 * j + 1], width_error=gamma * err[3 * j + 2], converged=ok,
                 )
             )
-        reports.append(
-            FitReport(
-                converged=ok,
-                iterations=len(history) - 1,
-                cost=cost,
-                cost_history=history,
-                message=message,
-                background=complex(p[-2], p[-1]),
-            )
-        )
+        reports.append(FitReport(converged=ok, iterations=len(history) - 1, cost=cost, cost_history=history,
+                                 message=message, background=complex(p[-2], p[-1])))
     order = np.argsort([r.center for r in resonances])
     return ResonanceSet([resonances[i] for i in order], reports)
 

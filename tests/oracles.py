@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.optimize import least_squares
 
 
 def bessel_j_series(order: float, x: float, max_terms: int = 400) -> float:
@@ -269,3 +270,49 @@ def semi_poisson_delta3(L: float) -> float:
         + (3.0 / (512.0 * L**4)) * math.expm1(-4.0 * L)
         + math.exp(-4.0 * L) * (1.0 / (64.0 * L**2) + 3.0 / (128.0 * L**3))
     )
+
+
+def semi_poisson_delta3_kernel_mp(L: float, dps: int = 30) -> float:
+    """Semi-Poisson Delta3(L) by mpmath quadrature of the kernel integral.
+
+    (2/L^4) int_0^L (L^3 - 2 L^2 r + r^3) Sigma^2(r) dr with
+    Sigma^2(r) = r/2 + (1 - e^(-4r))/8, split where e^(-4r) has decayed
+    so that the quadrature resolves its curvature; the closed form is not used.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        x = mpmath.mpf(L)
+        sigma2 = lambda r: r / 2 + (1 - mpmath.exp(-4 * r)) / 8
+        kernel = lambda r: (x**3 - 2 * x**2 * r + r**3) * sigma2(r)
+        breaks = [0] + [b for b in (0.25, 1, 4, 16, 64, 256, 1024) if b < x] + [x]
+        return float(2 * mpmath.quad(kernel, breaks) / x**4)
+
+
+def minpack_window_fit(trace, cluster, half_width=5.0):
+    """The window fit of one cluster by MINPACK's Levenberg-Marquardt.
+
+    Same window, start and parametrisation (centre, amplitude, log-width per
+    pole, then the complex background) as ``fit_resonances``; the model is
+    written in real arithmetic and the Jacobian is left to finite differences.
+    """
+    lo = min(g.center - half_width * g.width for g in cluster)
+    hi = max(g.center + half_width * g.width for g in cluster)
+    sel = (trace.frequencies >= lo) & (trace.frequencies <= hi)
+    origin = trace.frequencies[sel][0]
+    x = trace.frequencies[sel] - origin
+    target = np.concatenate([trace.values[sel].real, trace.values[sel].imag])
+
+    def residual(q):
+        re = np.full(x.size, q[-2])
+        im = np.full(x.size, q[-1])
+        for c, a, w in q[:-2].reshape(-1, 3):
+            g = math.exp(w)
+            d = (x - c) ** 2 + 0.25 * g * g
+            re -= 0.5 * a * g / d
+            im -= a * (x - c) / d
+        return np.concatenate([re, im]) - target
+
+    q0 = np.array([v for g in cluster for v in (g.center - origin, g.amplitude, math.log(g.width))] + [0.0, 0.0])
+    q = least_squares(residual, q0, method="lm", x_scale="jac", xtol=1e-14, ftol=1e-14, gtol=1e-14).x
+    return [(origin + c, math.exp(w), abs(a)) for c, a, w in q[:-2].reshape(-1, 3)]

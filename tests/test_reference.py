@@ -19,7 +19,13 @@ from billiardlab.reference import (
 from billiardlab.statistics import dyson_mehta, number_variance
 from billiardlab.unfolding import UnfoldedSpectrum
 
-from oracles import ecdf_ks, goe_dense_unfolded, semi_poisson_delta3, spacing_ks_frozen
+from oracles import (
+    ecdf_ks,
+    goe_dense_unfolded,
+    semi_poisson_delta3,
+    semi_poisson_delta3_kernel_mp,
+    spacing_ks_frozen,
+)
 
 
 class TestClosedForms:
@@ -50,6 +56,17 @@ class TestClosedForms:
         L = np.geomspace(0.25, 500.0, 60)
         expected = [semi_poisson_delta3(x) for x in L]
         np.testing.assert_allclose(delta3_curve("semi-poisson", L).ordinate, expected, rtol=1e-12)
+
+    def test_semi_poisson_delta3_long_windows_against_mpmath(self):
+        # adaptive quad drifted to ~2e-6 relative here without warning
+        L = [1000.0, 2000.0, 5000.0]
+        expected = [semi_poisson_delta3_kernel_mp(x) for x in L]
+        np.testing.assert_allclose(delta3_curve("semi-poisson", L).ordinate, expected, rtol=1e-12)
+
+    def test_semi_poisson_delta3_both_branches_against_mpmath(self):
+        L = [0.01, 0.1, 0.3, 0.5, 0.999, 1.0, 1.5, 3.0, 40.0]
+        expected = [semi_poisson_delta3_kernel_mp(x) for x in L]
+        np.testing.assert_allclose(delta3_curve("semi-poisson", L).ordinate, expected, rtol=1e-13)
 
     def test_aliases_accepted(self):
         a = reference_curve("goe", "Σ²", [5.0]).ordinate[0]

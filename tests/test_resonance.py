@@ -3,15 +3,19 @@ import math
 import numpy as np
 import pytest
 
+from billiardlab import resonance
 from billiardlab.errors import InvalidArgumentError
 from billiardlab.resonance import (
     ComplexTrace,
     Resonance,
     ResonanceGuess,
+    _cluster_guesses,
     breit_wigner_model,
     detect_peaks,
     fit_resonances,
 )
+
+from oracles import minpack_window_fit
 
 
 def synth_resonances(rng, n, f_start=3.0e9, width_lo=0.8e6, width_hi=1.2e6):
@@ -189,3 +193,134 @@ class TestFit:
         trace = breit_wigner_model(truth, diagonal=False, frequencies=f)
         with pytest.raises(InvalidArgumentError):
             fit_resonances(trace, [ResonanceGuess(1e9, 1e6, 0.2e6)])
+
+
+def spaced_trace(rng, n, noise, step=1e4):
+    """An off-diagonal trace with n poles of width 0.8-1.2 MHz, every fourth pair 6-9 widths apart.
+
+    The others sit 12-16 widths apart, so the guesses form isolated windows and
+    joint pairs; the noise is complex Gaussian with ``noise`` per quadrature.
+    """
+    widths = rng.uniform(0.8e6, 1.2e6, n)
+    spacing = np.where(np.arange(n) % 4 == 1, rng.uniform(6.0, 9.0, n), rng.uniform(12.0, 16.0, n))
+    centers = 3.0e9 + np.cumsum(spacing * widths)
+    amps = rng.uniform(0.05e6, 0.3e6, n)
+    f = np.arange(centers[0] - 2e7, centers[-1] + 2e7, step)
+    clean = breit_wigner_model([Resonance(c, w, a) for c, w, a in zip(centers, widths, amps)], False, f)
+    values = clean.values + noise * (rng.standard_normal(f.size) + 1j * rng.standard_normal(f.size))
+    return ComplexTrace(f, values)
+
+
+def in_standard_errors(fitted, other):
+    """Largest |difference| of centre, width and amplitude in the fit's standard errors."""
+    return max(
+        max(abs(r.center - c) / r.center_error, abs(r.width - w) / r.width_error, abs(r.amplitude - a) / r.amplitude_error)
+        for r, (c, w, a) in zip(fitted, other)
+    )
+
+
+class TestFitOracle:
+    @pytest.mark.parametrize("noise", [0.0, 0.002])
+    def test_agrees_with_minpack(self, noise):
+        rng = np.random.default_rng(5)
+        trace = spaced_trace(rng, 16, noise)
+        guesses = detect_peaks(trace, prominence=0.01)
+        clusters = _cluster_guesses(guesses, 5.0)[:12]
+        assert len(clusters) == 12 and any(len(c) == 2 for c in clusters)
+        worst = 0.0
+        for cluster in clusters:
+            fitted = fit_resonances(trace, cluster)
+            assert all(r.converged for r in fitted.resonances)
+            worst = max(worst, in_standard_errors(fitted.resonances, minpack_window_fit(trace, cluster)))
+        assert worst < 1e-2
+
+    @pytest.mark.parametrize("noise", [0.0, 0.002])
+    def test_continuing_to_tol_stays_within_standard_errors(self, noise, monkeypatch):
+        rng = np.random.default_rng(6)
+        trace = spaced_trace(rng, 16, noise)
+        guesses = detect_peaks(trace, prominence=0.01)
+        stopped = fit_resonances(trace, guesses)
+        assert all("standard errors" in r.message for r in stopped.reports)
+        monkeypatch.setattr(resonance, "_SE_STEP", 0.0)
+        continued = fit_resonances(trace, guesses)
+        assert all("tol" in r.message for r in continued.reports)
+        assert sum(r.iterations for r in continued.reports) > sum(r.iterations for r in stopped.reports)
+        other = [(r.center, r.width, r.amplitude) for r in continued.resonances]
+        assert in_standard_errors(stopped.resonances, other) < 1e-3
+
+
+class TestRobustness:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_pure_noise_gives_no_guesses(self, seed):
+        rng = np.random.default_rng(seed)
+        sigma = 0.002
+        f = 3e9 + 1e4 * np.arange(50_000)
+        trace = ComplexTrace(f, sigma * (rng.standard_normal(f.size) + 1j * rng.standard_normal(f.size)))
+        assert detect_peaks(trace, prominence=5.0 * sigma) == []
+
+    def test_one_sample_outlier_is_not_a_guess(self):
+        rng = np.random.default_rng(4)
+        f = np.linspace(0.99e9, 1.01e9, 2000)
+        clean = breit_wigner_model([Resonance(1e9, 1e6, 0.2e6)], False, f)
+        values = clean.values + 0.002 * (rng.standard_normal(f.size) + 1j * rng.standard_normal(f.size))
+        values[300] += 0.5
+        guesses = detect_peaks(ComplexTrace(f, values), prominence=0.05)
+        assert len(guesses) == 1 and abs(guesses[0].center - 1e9) < 1e6
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_one_sample_spike_guess_is_bounded_not_raised(self, seed):
+        rng = np.random.default_rng(seed)
+        f = np.linspace(0.99e9, 1.01e9, 2000)
+        step = f[1] - f[0]
+        values = 0.01 * (rng.standard_normal(f.size) + 1j * rng.standard_normal(f.size))
+        i = 1000
+        values[i] += 0.1
+        fitted = fit_resonances(ComplexTrace(f, values), [ResonanceGuess(f[i], step, 0.05 * step)])
+        r = fitted.resonances[0]
+        report = fitted.reports[0]
+        assert step * (1.0 - 1e-12) <= r.width
+        assert r.converged == report.converged
+        assert report.message
+
+    def test_trial_widths_stay_inside_window_bounds(self, monkeypatch):
+        f = np.linspace(0.99e9, 1.01e9, 2000)
+        step = f[1] - f[0]
+        rng = np.random.default_rng(2)
+        trace = ComplexTrace(f, 0.01 * (rng.standard_normal(f.size) + 1j * rng.standard_normal(f.size)))
+        seen = []
+        original = resonance._bw_model
+
+        def spy(params, freqs, delta):
+            seen.append((np.exp(params[2:-2:3]), freqs[-1] - freqs[0]))
+            return original(params, freqs, delta)
+
+        monkeypatch.setattr(resonance, "_bw_model", spy)
+        fit_resonances(trace, [ResonanceGuess(1e9, 2.0 * step, 1e3), ResonanceGuess(1e9 + 3 * step, step, 1e3)])
+        assert seen
+        for widths, span in seen:
+            assert np.all(widths >= step * (1.0 - 1e-12)) and np.all(widths <= span * (1.0 + 1e-12))
+
+
+class TestStoppingRules:
+    def test_exact_model_stops_on_relative_step(self):
+        f = np.linspace(0.99e9, 1.01e9, 2000)
+        trace = breit_wigner_model([Resonance(1e9, 1e6, 0.2e6)], False, f, background=0.05 - 0.02j)
+        fitted = fit_resonances(trace, detect_peaks(trace, prominence=0.05))
+        assert fitted.reports[0].converged
+        assert "relative step below tol" in fitted.reports[0].message
+
+    def test_noisy_window_stops_on_standard_errors(self):
+        rng = np.random.default_rng(11)
+        f = np.linspace(0.99e9, 1.01e9, 2000)
+        clean = breit_wigner_model([Resonance(1e9, 1e6, 0.2e6)], False, f)
+        noisy = ComplexTrace(f, clean.values + 0.01 * (rng.standard_normal(f.size) + 1j * rng.standard_normal(f.size)))
+        fitted = fit_resonances(noisy, detect_peaks(noisy, prominence=0.05))
+        assert fitted.reports[0].converged
+        assert "standard errors" in fitted.reports[0].message
+
+    def test_max_iter_is_reported(self):
+        f = np.linspace(0.99e9, 1.01e9, 2000)
+        trace = breit_wigner_model([Resonance(1e9, 1e6, 0.2e6)], False, f, background=0.05 - 0.02j)
+        fitted = fit_resonances(trace, detect_peaks(trace, prominence=0.05), max_iter=1)
+        assert not fitted.reports[0].converged and not fitted.resonances[0].converged
+        assert fitted.reports[0].message == "reached max_iter"
