@@ -19,7 +19,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq  # noqa: F401  (uncalled: perfbench/tracing.py wraps this name)
 from scipy.special import ai_zeros, jv
 
 from .errors import InvalidArgumentError, NotFoundError, NumericalError
@@ -600,3 +599,11 @@ def point_scatterer_spectrum(
     unshifted = k[(~active) & (E <= e_max)]
     out = np.sort(np.concatenate([roots, unshifted]))
     return WavevectorSpectrum(out[out <= k_max])
+
+
+def __getattr__(name: str):
+    """Import the uncalled ``brentq`` only when read (scipy.optimize takes ~1 s); perfbench/tracing.py wraps it."""
+    if name != "brentq":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from scipy.optimize import brentq
+    return brentq

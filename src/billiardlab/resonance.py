@@ -20,7 +20,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import find_peaks
 from scipy.special import k0 as bessel_k0
 
 from .errors import InvalidArgumentError
@@ -161,8 +160,10 @@ def detect_peaks(trace: ComplexTrace, prominence: float) -> list[ResonanceGuess]
     sigma = median|diff(S)| / (1.1774 * sqrt(2)) (the median of a Rayleigh
     variable with sigma*sqrt(2) per quadrature).  A peak is kept when its
     prominence reaches max(``prominence``, 8 sigma) and it is at least 2
-    samples wide at half prominence, so noise spikes are dropped.
+    samples wide at half prominence, so noise spikes are dropped.  The first
+    call imports ``scipy.signal`` (about 1 s), which nothing else needs.
     """
+    from scipy.signal import find_peaks
     if len(trace) <= 10:
         raise InvalidArgumentError("trace must be longer than 10 samples")
     prominence = check_positive(prominence, "prominence")
@@ -230,7 +231,7 @@ def _lm_minimise(p0, f, data, delta, max_iter, tol):
     step that is below ``_SE_STEP`` of every parameter's standard error
     sqrt(sigma^2 / N_ii), sigma^2 = cost/dof (never looser than the true
     standard error, since 1/N_ii <= (N^-1)_ii), or below ``tol`` relative
-    to every parameter, which ends exact-model fits where sigma -> 0.
+    to every parameter (to max|S| for the background, which may be 0), which ends exact fits (sigma -> 0).
     """
     p = np.asarray(p0, dtype=float).copy()
     span = f[-1] - f[0]
@@ -242,6 +243,7 @@ def _lm_minimise(p0, f, data, delta, max_iter, tol):
     cost = float(np.vdot(residual, residual).real)
     history = [cost]
     dof = max(2 * f.size - p.size, 1)
+    step_scale = np.full(p.size, np.abs(data).max())  # ``tol`` scale; the background's stays max|S|
     mu = 1e-3
     for _ in range(max_iter):
         jv = _bw_jacobian(p, inv).view(float)
@@ -267,7 +269,8 @@ def _lm_minimise(p0, f, data, delta, max_iter, tol):
             if mu > 1e15:
                 return p, cost, history, False, "damping overflow: no descent direction found", normal
         step = trial - p
-        rel_step = float(np.max(np.abs(step) / (np.abs(p) + 1e-300)))
+        step_scale[:-2] = np.abs(p[:-2]) + 1e-300
+        rel_step = float(np.max(np.abs(step) / step_scale))
         p, inv, residual, cost = trial, inv_new, residual_new, cost_new
         history.append(cost)
         mu = max(mu / 3.0, 1e-14)

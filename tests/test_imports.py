@@ -1,0 +1,37 @@
+"""Importing billiardlab loads only the scipy modules that its spectral chain calls."""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+from billiardlab import billiard
+
+_SRC = os.path.dirname(os.path.dirname(os.path.abspath(billiard.__file__)))
+
+_PROBE = """
+import json, sys
+from billiardlab import billiard, reference, resonance, statistics, unfolding
+unused = ("scipy.optimize", "scipy.integrate", "scipy.signal", "scipy.stats")
+loaded = [m for m in unused if m in sys.modules]
+brentq = billiard.brentq
+import scipy.optimize
+print(json.dumps({"loaded": loaded, "brentq": callable(brentq) and brentq is scipy.optimize.brentq}))
+"""
+
+
+def test_import_loads_no_unused_scipy_module():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", _PROBE], capture_output=True, text=True, env=env,
+                          check=True, timeout=120)
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["loaded"] == []
+    # perfbench/tracing.py wraps billiard.brentq in traced runs, so the name must still resolve
+    assert result["brentq"]
+
+
+def test_unknown_attribute_still_raises():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        billiard.no_such_name

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp
@@ -64,9 +65,16 @@ class TestClosedForms:
         np.testing.assert_allclose(delta3_curve("semi-poisson", L).ordinate, expected, rtol=1e-12)
 
     def test_semi_poisson_delta3_both_branches_against_mpmath(self):
-        L = [0.01, 0.1, 0.3, 0.5, 0.999, 1.0, 1.5, 3.0, 40.0]
+        L = [1e-6, 1e-4, 1e-3, 0.01, 0.1, 0.3, 0.5, 0.999, 1.0, 1.5, 3.0, 40.0]
         expected = [semi_poisson_delta3_kernel_mp(x) for x in L]
         np.testing.assert_allclose(delta3_curve("semi-poisson", L).ordinate, expected, rtol=1e-13)
+
+    def test_semi_poisson_sigma2_small_lengths_against_mpmath(self):
+        # 1 - e^(-4L) cancels below L ~ 1e-4 (7e-12 relative at 1e-6); expm1 does not
+        L = [1e-6, 1e-5, 1e-4]
+        with mpmath.workdps(40):
+            expected = [float(mpmath.mpf(x) / 2 + (1 - mpmath.exp(-4 * mpmath.mpf(x))) / 8) for x in L]
+        np.testing.assert_allclose(sigma2_curve("semi-poisson", L).ordinate, expected, rtol=1e-14)
 
     def test_aliases_accepted(self):
         a = reference_curve("goe", "Σ²", [5.0]).ordinate[0]

@@ -309,6 +309,19 @@ class TestStoppingRules:
         assert fitted.reports[0].converged
         assert "relative step below tol" in fitted.reports[0].message
 
+    @pytest.mark.parametrize("background", [0.0, 1e-3, 0.01, 0.1])
+    def test_real_background_stops_on_relative_step(self, background):
+        # the imaginary background is 0, so its step is measured against max|S|, not against itself;
+        # after a step below tol = 1e-8 the LM contraction (~1e-3 per iteration) leaves < 1e-11
+        truth = Resonance(1e9, 1e6, 0.2e6)
+        trace = breit_wigner_model([truth], False, np.linspace(0.99e9, 1.01e9, 2000), background=background)
+        fitted = fit_resonances(trace, detect_peaks(trace, prominence=0.05))
+        report, r = fitted.reports[0], fitted.resonances[0]
+        assert report.message == "converged: relative step below tol"
+        assert report.iterations <= 8
+        np.testing.assert_allclose([r.center, r.width, r.amplitude], [truth.center, truth.width, truth.amplitude],
+                                   rtol=1e-11)
+
     def test_noisy_window_stops_on_standard_errors(self):
         rng = np.random.default_rng(11)
         f = np.linspace(0.99e9, 1.01e9, 2000)
