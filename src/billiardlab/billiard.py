@@ -6,10 +6,12 @@ angle ``theta`` separates in polar coordinates.  The modes are
     psi_{m,nu}(r, phi) = sin(m*pi*phi/theta) * J_{m*pi/theta}(k_{m,nu} * r)
 
 and the eigen-wavevectors ``k_{m,nu}`` are the positive zeros of the
-Bessel function of order ``m*pi/theta``, divided by ``R``.  On top of the
-exact spectrum this module provides the smooth Weyl counting function and
-a renormalised point-scatterer (rank-one) perturbation that turns the
-integrable spectrum into an almost-integrable one.
+Bessel function of order ``m*pi/theta``, divided by ``R``.  The normalised
+modes are evaluated in one place, ``mode_amplitudes``, for many points and
+every level of a spectrum at once.  On top of the exact spectrum this
+module provides the smooth Weyl counting function and a renormalised
+point-scatterer (rank-one) perturbation that turns the integrable
+spectrum into an almost-integrable one.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ai_zeros, jv
 
-from .errors import InvalidArgumentError, NotFoundError, NumericalError
+from .errors import InvalidArgumentError, NumericalError
 from .validation import as_float_array, check_ascending, check_positive
 
 __all__ = [
@@ -29,17 +31,16 @@ __all__ = [
     "DiskScatterer",
     "WavevectorSpectrum",
     "WeylParams",
-    "IntensityMap",
     "bessel_order_zeros",
     "sector_eigenvalues",
-    "sector_mode_amplitude",
-    "sector_wavefunction",
+    "mode_amplitudes",
     "mode_intensities_at",
     "weyl_count",
     "fit_weyl_constant",
     "sector_weyl_params",
     "point_scatterer_spectrum",
     "SPEED_OF_LIGHT",
+    "frequency_to_wavevector",
 ]
 
 #: Exact vacuum speed of light, used for every frequency <-> wavevector conversion.
@@ -155,15 +156,6 @@ class WeylParams:
         check_positive(self.perimeter, "perimeter")
 
 
-@dataclass
-class IntensityMap:
-    """|psi|^2 sampled on a regular cartesian grid; NaN outside the domain."""
-
-    x: np.ndarray
-    y: np.ndarray
-    values: np.ndarray = field(repr=False)
-
-
 # ----------------------------------------------------------------------
 # Bessel zeros
 # ----------------------------------------------------------------------
@@ -256,6 +248,9 @@ def bessel_order_zeros(order: float, count: int) -> np.ndarray:
 
 # ----------------------------------------------------------------------
 # Sector spectrum and wavefunctions
+#
+# ``mode_amplitudes`` is the one place where the modes psi_n are evaluated;
+# ``mode_intensities_at`` squares it at a scatterer position.
 # ----------------------------------------------------------------------
 
 def sector_eigenvalues(geom: SectorGeometry, k_max: float) -> WavevectorSpectrum:
@@ -291,60 +286,36 @@ def _mode_norm(geom: SectorGeometry, bessel_next):
     return 0.25 * geom.angle * geom.radius**2 * np.square(bessel_next)
 
 
-def sector_mode_amplitude(geom: SectorGeometry, m: int, nu: int, x, y) -> np.ndarray:
-    """Normalised mode psi_{m,nu} evaluated at cartesian points (metres).
+def mode_amplitudes(geom: SectorGeometry, spectrum: WavevectorSpectrum, x, y) -> np.ndarray:
+    """Normalised modes psi_n(x, y) of every labelled level, signed, shape (P, N).
 
-    The mode is normalised to unit L2 norm over the sector.  Points outside
-    the closed sector evaluate to NaN.
+    The P points are the flattened broadcast of the cartesian ``x`` and
+    ``y`` (metres); the N columns follow ``spectrum``, which needs
+    ``labels`` and ``bessel_next`` (see ``sector_eigenvalues``).  Each mode
+    has unit L2 norm over the sector.  Every point must lie in the closed
+    sector, up to one ulp of rounding for points constructed on the boundary.
     """
-    m = int(m)
-    nu = int(nu)
-    if m < 1 or nu < 1:
-        raise NotFoundError(f"no sector mode with label ({m}, {nu})")
-    order = m * math.pi / geom.angle
-    _, zeros, bessel_next = _bessel_zeros(np.full(nu, order), np.arange(1, nu + 1))
-    k = zeros[-1] / geom.radius
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    r = np.hypot(x, y)
-    phi = np.arctan2(y, x)
-    # tolerate one ulp of rounding for points constructed on the boundary
-    inside = (r <= geom.radius * (1.0 + 1e-12)) & (phi >= 0.0) & (phi <= geom.angle)
-    amp = np.sin(order * phi) * jv(order, k * r) / math.sqrt(_mode_norm(geom, bessel_next[-1]))
-    return np.where(inside, amp, np.nan)
-
-
-def sector_wavefunction(
-    geom: SectorGeometry, m: int, nu: int, grid_spacing: float
-) -> IntensityMap:
-    """|psi_{m,nu}|^2 on a regular grid clipped to the sector.
-
-    Grid points outside the closed sector are NaN; on the straight edges
-    the intensity vanishes identically (the sine factor is exactly zero).
-    """
-    grid_spacing = check_positive(grid_spacing, "grid_spacing")
-    R = geom.radius
-    x = np.arange(0.0, R + grid_spacing, grid_spacing)
-    y_top = R if geom.angle >= 0.5 * math.pi else R * math.sin(geom.angle)
-    y = np.arange(0.0, y_top + grid_spacing, grid_spacing)
-    xx, yy = np.meshgrid(x, y, indexing="xy")
-    amp = sector_mode_amplitude(geom, m, nu, xx, yy)
-    return IntensityMap(x=x, y=y, values=amp**2)
+    if spectrum.labels is None or spectrum.bessel_next is None:
+        raise InvalidArgumentError("spectrum needs labels and bessel_next, see sector_eigenvalues")
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    r = np.hypot(x, y).reshape(-1, 1)
+    phi = np.arctan2(y, x).reshape(-1, 1)
+    if not np.all((r <= geom.radius * (1.0 + 1e-12)) & (phi >= 0.0) & (phi <= geom.angle)):
+        raise InvalidArgumentError("points must lie in the closed sector")
+    orders = np.array([m for m, _ in spectrum.labels], dtype=float) * math.pi / geom.angle
+    amp = np.sin(orders * phi) * jv(orders, spectrum.values * r)
+    return amp / np.sqrt(_mode_norm(geom, spectrum.bessel_next))
 
 
 def mode_intensities_at(
     geom: SectorGeometry, spectrum: WavevectorSpectrum, x: float, y: float
 ) -> np.ndarray:
-    """|psi_n(x, y)|^2 of every labelled level, for the normalised modes."""
-    if spectrum.labels is None or spectrum.bessel_next is None:
-        raise InvalidArgumentError("spectrum needs labels and bessel_next, see sector_eigenvalues")
+    """|psi_n(x, y)|^2 of every labelled level at one point strictly inside the sector."""
     r = math.hypot(x, y)
     phi = math.atan2(y, x)
     if not (r < geom.radius and 0.0 < phi < geom.angle):
         raise InvalidArgumentError(f"point ({x}, {y}) lies outside the sector")
-    orders = np.array([m for m, _ in spectrum.labels], dtype=float) * math.pi / geom.angle
-    amp2 = np.sin(orders * phi) ** 2 * jv(orders, spectrum.values * r) ** 2
-    return amp2 / _mode_norm(geom, spectrum.bessel_next)
+    return np.square(mode_amplitudes(geom, spectrum, x, y)[0])
 
 
 # ----------------------------------------------------------------------
@@ -531,7 +502,8 @@ def point_scatterer_spectrum(
         Unperturbed spectrum, complete up to a truncation well above
         ``k_max`` (see Notes).
     mode_intensities : array_like
-        |psi_n(r0)|^2 for every base level, unit-L2-normalised modes.
+        |psi_n(r0)|^2 for every base level, unit-L2-normalised modes, as
+        returned by ``mode_intensities_at``.
     coupling : float
         Scatterer coupling strength; ``0`` is rejected (use the base
         spectrum instead) and ``+/-inf`` selects the maximal-coupling

@@ -9,10 +9,6 @@ class InvalidArgumentError(BilliardLabError, ValueError):
     """An argument violates a documented precondition."""
 
 
-class NotFoundError(BilliardLabError, KeyError):
-    """A requested label or entry does not exist."""
-
-
 class NumericalError(BilliardLabError):
     """A numerical procedure failed to produce a usable result."""
 

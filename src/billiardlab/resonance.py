@@ -36,7 +36,6 @@ __all__ = [
     "fit_resonances",
     "strength_samples",
     "k0_strength_pdf",
-    "field_intensity_from_shift",
 ]
 
 
@@ -413,21 +412,3 @@ def k0_strength_pdf(z_grid) -> StatCurve:
     root_u = np.power(10.0, 0.5 * z)
     pdf = math.log(10.0) / math.pi * root_u * bessel_k0(root_u)
     return StatCurve(z, pdf)
-
-
-def field_intensity_from_shift(shift_map, f0: float, c1: float, normalize: bool = False):
-    """Invert perturbation-body frequency shifts to a field intensity map.
-
-    E^2 = shift / (f0 * c1), clipped at zero (a magnetic-rubber body
-    eliminates the magnetic term, so negative residual shifts are noise).
-    With ``normalize`` the map is scaled to unit maximum.
-    """
-    if c1 == 0.0:
-        raise InvalidArgumentError("c1 must be nonzero")
-    if f0 == 0.0:
-        raise InvalidArgumentError("f0 must be nonzero")
-    shift = np.asarray(shift_map, dtype=float)
-    intensity = np.clip(shift / (f0 * c1), 0.0, None)
-    if normalize and intensity.max() > 0.0:
-        intensity = intensity / intensity.max()
-    return intensity

@@ -49,6 +49,8 @@ class StatCurve:
 
 
 def _pooled_spacings(u: UnfoldedSpectrum) -> np.ndarray:
+    if not u.sequences:
+        raise InvalidArgumentError("unfolded spectrum has no sequences")
     for i, seq in enumerate(u.sequences):
         if seq.size < 2:
             raise InvalidArgumentError(f"sequences[{i}] has fewer than 2 levels")

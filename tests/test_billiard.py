@@ -16,15 +16,14 @@ from billiardlab.billiard import (
     bessel_order_zeros,
     fit_weyl_constant,
     frequency_to_wavevector,
+    mode_amplitudes,
     mode_intensities_at,
     sector_eigenvalues,
-    sector_mode_amplitude,
-    sector_wavefunction,
     sector_weyl_params,
     validate_scatterers,
     weyl_count,
 )
-from billiardlab.errors import InvalidArgumentError, NotFoundError, NumericalError
+from billiardlab.errors import InvalidArgumentError, NumericalError
 
 from oracles import bessel_zero_by_bisection
 
@@ -165,27 +164,65 @@ class TestSectorEigenvalues:
             sector_eigenvalues(sector, -2.0)
 
 
+def _modes(spectrum, *labels):
+    """The levels of ``spectrum`` with the given (m, nu) labels, in ascending order."""
+    idx = [spectrum.labels.index(label) for label in labels]
+    return WavevectorSpectrum(
+        spectrum.values[idx], [spectrum.labels[i] for i in idx], spectrum.bessel_next[idx]
+    )
+
+
+def _sector_grid(geom, h):
+    """Regular grid of spacing h over the bounding box and its mask of closed-sector points."""
+    x = np.arange(0.0, geom.radius + h, h)
+    y = np.arange(0.0, geom.radius * math.sin(geom.angle) + h, h)
+    xx, yy = np.meshgrid(x, y, indexing="xy")
+    return xx, yy, (np.hypot(xx, yy) <= geom.radius) & (np.arctan2(yy, xx) <= geom.angle)
+
+
+def _amplitude_mpmath(geom, m, k, x, y):
+    """psi_{m,nu}(x, y) from mpmath J_order and J_{order+1} at the level's k."""
+    with mpmath.workdps(30):
+        order = m * mpmath.pi / geom.angle
+        r, phi = mpmath.hypot(x, y), mpmath.atan2(y, x)
+        norm = mpmath.sqrt(geom.angle / 4) * geom.radius * abs(mpmath.besselj(order + 1, k * geom.radius))
+        return float(mpmath.sin(order * phi) * mpmath.besselj(order, k * r) / norm)
+
+
+# polar points on the boundary of the sector (rejected as scatterer positions) and outside it
+_NOT_INTERIOR = {
+    "lower edge": lambda g: (0.5 * g.radius, 0.0),
+    "upper edge": lambda g: (0.5 * g.radius, g.angle),
+    "arc": lambda g: (g.radius, 0.5),
+    "beyond arc": lambda g: (1.01 * g.radius, 0.5),
+    "below lower edge": lambda g: (0.5 * g.radius, -0.01),
+    "beyond upper edge": lambda g: (0.5 * g.radius, g.angle + 0.01),
+}
+_OUTSIDE = ["beyond arc", "below lower edge", "beyond upper edge"]
+
+
 class TestWavefunction:
-    def test_zero_on_straight_edges(self, sector):
+    def test_zero_on_straight_edges(self, sector, sector_spectrum_46):
         r = np.linspace(0.01, 0.79, 40)
-        lower = sector_mode_amplitude(sector, 1, 1, r, np.zeros_like(r))
+        lower = mode_amplitudes(sector, sector_spectrum_46, r, np.zeros_like(r))
         np.testing.assert_array_equal(lower, 0.0)
-        upper = sector_mode_amplitude(
-            sector, 1, 1, r * math.cos(sector.angle), r * math.sin(sector.angle)
+        upper = mode_amplitudes(
+            sector, sector_spectrum_46, r * math.cos(sector.angle), r * math.sin(sector.angle)
         )
         assert np.max(np.abs(upper)) < 1e-12
 
-    def test_tiny_on_arc(self, sector):
+    def test_tiny_on_arc(self, sector, sector_spectrum_46):
+        ground = _modes(sector_spectrum_46, (1, 1))
         phi = np.linspace(0.05, sector.angle - 0.05, 50)
-        vals = sector_mode_amplitude(
-            sector, 1, 1, sector.radius * np.cos(phi), sector.radius * np.sin(phi)
-        )
-        interior = sector_mode_amplitude(sector, 1, 1, 0.5, 0.25)
-        assert np.max(vals**2) / interior**2 < 1e-10
+        vals = mode_amplitudes(sector, ground, sector.radius * np.cos(phi), sector.radius * np.sin(phi))
+        interior = mode_amplitudes(sector, ground, 0.5, 0.25)
+        assert np.max(vals**2) / interior[0, 0] ** 2 < 1e-10
 
-    def test_ground_mode_single_maximum(self, sector):
-        m = sector_wavefunction(sector, 1, 1, grid_spacing=0.02)
-        vals = np.nan_to_num(m.values)
+    def test_ground_mode_single_maximum(self, sector, sector_spectrum_46):
+        xx, yy, inside = _sector_grid(sector, 0.02)
+        vals = np.zeros(xx.shape)
+        amp = mode_amplitudes(sector, _modes(sector_spectrum_46, (1, 1)), xx[inside], yy[inside])
+        vals[inside] = amp[:, 0] ** 2
         peak = np.unravel_index(np.argmax(vals), vals.shape)
         # the intensity decreases monotonically along rows/columns away from
         # the single interior maximum (no interior nodal line)
@@ -194,41 +231,65 @@ class TestWavefunction:
         assert np.all(np.diff(np.sign(np.diff(nonzero))) <= 0)
         assert vals.max() > 0
 
-    def test_mode_21_nodal_ray(self, sector):
+    def test_mode_21_nodal_ray(self, sector, sector_spectrum_46):
+        mode = _modes(sector_spectrum_46, (2, 1))
         phi_mid = sector.angle / 2.0
         r = np.linspace(0.05, 0.75, 20)
-        vals = sector_mode_amplitude(sector, 2, 1, r * np.cos(phi_mid), r * np.sin(phi_mid))
+        vals = mode_amplitudes(sector, mode, r * np.cos(phi_mid), r * np.sin(phi_mid))
         assert np.max(np.abs(vals)) < 1e-12
         # and it is the only interior ray: intensity nonzero at theta/4
         q = sector.angle / 4.0
-        vals_q = sector_mode_amplitude(sector, 2, 1, r * np.cos(q), r * np.sin(q))
+        vals_q = mode_amplitudes(sector, mode, r * np.cos(q), r * np.sin(q))
         assert np.min(np.abs(vals_q)) > 0
 
-    def test_normalisation(self, sector):
+    def test_normalisation(self, sector, sector_spectrum_46):
         # unit L2 norm over the sector, checked by midpoint quadrature
         h = 0.002
-        m = sector_wavefunction(sector, 1, 1, grid_spacing=h)
-        total = np.nansum(m.values) * h * h
-        assert total == pytest.approx(1.0, abs=0.01)
+        xx, yy, inside = _sector_grid(sector, h)
+        amp = mode_amplitudes(sector, _modes(sector_spectrum_46, (1, 1)), xx[inside], yy[inside])
+        assert np.sum(amp**2) * h * h == pytest.approx(1.0, abs=0.01)
 
     def test_intensities_match_mode_amplitudes(self, sector, sector_spectrum_46):
-        # the stored J_{order+1} must follow its level through the sort by k
-        w = mode_intensities_at(sector, sector_spectrum_46, 0.64, 0.40)
-        for i in range(0, len(sector_spectrum_46), 12):
-            m, nu = sector_spectrum_46.labels[i]
-            amp = sector_mode_amplitude(sector, m, nu, 0.64, 0.40)
-            assert w[i] == pytest.approx(amp**2, rel=1e-10)
+        # mpmath oracle for the signed, normalised modes at sampled (point, level)
+        # pairs; its J_{order+1} comes from each level's own k and order, so the
+        # stored bessel_next must follow its level through the sort by k
+        spec = sector_spectrum_46
+        points = [(0.64, 0.40), (0.31, 0.07), (0.2, 0.3)]
+        levels = range(0, len(spec), 12)
+        expected = np.array(
+            [[_amplitude_mpmath(sector, spec.labels[i][0], spec.values[i], x, y) for i in levels]
+             for x, y in points]
+        )
+        amp = mode_amplitudes(sector, spec, [x for x, _ in points], [y for _, y in points])
+        np.testing.assert_allclose(amp[:, levels], expected, rtol=1e-12, atol=0.0)
+        w = mode_intensities_at(sector, spec, *points[0])
+        np.testing.assert_allclose(w[levels], expected[0] ** 2, rtol=1e-12, atol=0.0)
 
     def test_intensities_need_bessel_next(self, sector, sector_spectrum_46):
         bare = WavevectorSpectrum(sector_spectrum_46.values, sector_spectrum_46.labels)
         with pytest.raises(InvalidArgumentError):
             mode_intensities_at(sector, bare, 0.64, 0.40)
 
-    def test_unknown_label(self, sector):
-        with pytest.raises(NotFoundError):
-            sector_mode_amplitude(sector, 0, 1, 0.5, 0.2)
-        with pytest.raises(NotFoundError):
-            sector_mode_amplitude(sector, 1, 0, 0.5, 0.2)
+    @pytest.mark.parametrize("where", list(_NOT_INTERIOR))
+    def test_intensities_reject_boundary_and_outside(self, sector, sector_spectrum_46, where):
+        r, phi = _NOT_INTERIOR[where](sector)
+        with pytest.raises(InvalidArgumentError, match="outside the sector"):
+            mode_intensities_at(sector, sector_spectrum_46, r * math.cos(phi), r * math.sin(phi))
+
+    @pytest.mark.parametrize("where", _OUTSIDE)
+    def test_amplitudes_reject_points_outside(self, sector, sector_spectrum_46, where):
+        r, phi = _NOT_INTERIOR[where](sector)
+        with pytest.raises(InvalidArgumentError, match="closed sector"):
+            mode_amplitudes(sector, sector_spectrum_46, [0.64, r * math.cos(phi)], [0.40, r * math.sin(phi)])
+
+    def test_amplitudes_need_labels_and_bessel_next(self, sector, sector_spectrum_46):
+        spec = sector_spectrum_46
+        for partial in (
+            WavevectorSpectrum(spec.values, spec.labels),
+            WavevectorSpectrum(spec.values, bessel_next=spec.bessel_next),
+        ):
+            with pytest.raises(InvalidArgumentError, match="labels and bessel_next"):
+                mode_amplitudes(sector, partial, 0.64, 0.40)
 
 
 class TestWeylCount:

@@ -1,7 +1,10 @@
-"""Importing billiardlab loads only the scipy modules that its spectral chain calls."""
+"""Importing billiardlab loads only the scipy modules that its spectral chain calls,
+and every name a module exports resolves."""
 
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -35,3 +38,9 @@ def test_import_loads_no_unused_scipy_module():
 def test_unknown_attribute_still_raises():
     with pytest.raises(AttributeError, match="no_such_name"):
         billiard.no_such_name
+
+
+@pytest.mark.parametrize("name", sorted(m.name for m in pkgutil.iter_modules([os.path.dirname(billiard.__file__)])))
+def test_public_names_resolve(name):
+    module = importlib.import_module(f"billiardlab.{name}")
+    assert [n for n in getattr(module, "__all__", []) if not hasattr(module, n)] == []

@@ -74,6 +74,11 @@ class TestSpacingDistribution:
         with pytest.raises(InvalidArgumentError):
             spacing_distribution(UnfoldedSpectrum([np.array([1.0])]))
 
+    @pytest.mark.parametrize("measure", [spacing_distribution, cumulative_spacing])
+    def test_no_sequences_rejected(self, measure):
+        with pytest.raises(InvalidArgumentError, match="no sequences"):
+            measure(UnfoldedSpectrum([]))
+
 
 class TestCumulativeSpacing:
     def test_matches_exact_ks_helper(self):

@@ -5,10 +5,8 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import k0
 
-from billiardlab.errors import InvalidArgumentError
 from billiardlab.resonance import (
     Resonance,
-    field_intensity_from_shift,
     k0_strength_pdf,
     strength_samples,
 )
@@ -75,42 +73,3 @@ class TestK0Pdf:
         centers = 0.5 * (edges[:-1] + edges[1:])
         curve = k0_strength_pdf(centers)
         assert np.max(np.abs(hist - curve.ordinate)) < 0.01
-
-
-class TestFieldInversion:
-    def test_zero_shift_zero_intensity(self):
-        out = field_intensity_from_shift(np.zeros((5, 7)), f0=1e9, c1=0.3)
-        np.testing.assert_array_equal(out, 0.0)
-
-    def test_linearity(self):
-        rng = np.random.default_rng(3)
-        shift = rng.uniform(0.0, 1.0, (6, 6))
-        a = field_intensity_from_shift(shift, f0=1e9, c1=0.2)
-        b = field_intensity_from_shift(2.0 * shift, f0=1e9, c1=0.2)
-        np.testing.assert_allclose(b, 2.0 * a, rtol=1e-14)
-
-    def test_recovers_sector_mode(self, sector):
-        from billiardlab.billiard import sector_wavefunction
-
-        mode = sector_wavefunction(sector, 2, 3, grid_spacing=0.01)
-        intensity = np.nan_to_num(mode.values)
-        f0, c1 = 2.4e9, -0.8
-        shift = f0 * c1 * intensity
-        recovered = field_intensity_from_shift(np.where(c1 > 0, shift, shift), f0, c1)
-        scale = intensity.max() / recovered.max()
-        err = np.linalg.norm(recovered * scale - intensity) / np.linalg.norm(intensity)
-        assert err < 1e-12
-
-    def test_negative_clipped(self):
-        shift = np.array([[1.0, -1.0]])
-        out = field_intensity_from_shift(shift, f0=1e9, c1=1.0)
-        assert out[0, 1] == 0.0
-
-    def test_normalize(self):
-        shift = np.array([[2.0, 1.0]])
-        out = field_intensity_from_shift(shift, f0=1.0, c1=1.0, normalize=True)
-        assert out.max() == 1.0
-
-    def test_zero_c1_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            field_intensity_from_shift(np.ones((2, 2)), f0=1e9, c1=0.0)
