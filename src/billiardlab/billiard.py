@@ -23,12 +23,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ai_zeros, jv
 
-from .errors import InvalidArgumentError, NumericalError
+from .errors import InvalidArgumentError, NumericalError, QualityWarning
 from .validation import as_float_array, check_ascending, check_positive
 
 __all__ = [
     "SectorGeometry",
     "DiskScatterer",
+    "validate_scatterers",
     "WavevectorSpectrum",
     "WeylParams",
     "bessel_order_zeros",
@@ -136,11 +137,6 @@ class WavevectorSpectrum:
 
     def __len__(self) -> int:
         return self.values.size
-
-    @property
-    def frequencies(self) -> np.ndarray:
-        """Eigenfrequencies f_n = c0*k_n/(2*pi) in Hz."""
-        return SPEED_OF_LIGHT * self.values / (2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -348,11 +344,11 @@ def fit_weyl_constant(values, area: float, perimeter: float) -> WeylParams:
     if k.size == 0:
         raise InvalidArgumentError("cannot fit the Weyl constant to an empty spectrum")
     n = np.arange(1, k.size + 1) - 0.5
-    smooth = area / (4.0 * math.pi) * k**2 - perimeter / (4.0 * math.pi) * k
+    smooth = weyl_count(k, WeylParams(area, perimeter))
     return WeylParams(area=area, perimeter=perimeter, constant=float(np.mean(n - smooth)))
 
 
-def sector_corner_constant(geom: SectorGeometry) -> float:
+def _sector_corner_constant(geom: SectorGeometry) -> float:
     """Corner and curvature contribution to the Weyl constant.
 
     Sum of (pi^2 - a^2)/(24 pi a) over the three corners (apex angle plus
@@ -370,7 +366,7 @@ def sector_weyl_params(
     otherwise the corner-correction value."""
     if spectrum is not None and len(spectrum):
         return fit_weyl_constant(spectrum.values, geom.area, geom.perimeter)
-    return WeylParams(geom.area, geom.perimeter, sector_corner_constant(geom))
+    return WeylParams(geom.area, geom.perimeter, _sector_corner_constant(geom))
 
 
 # ----------------------------------------------------------------------
@@ -499,8 +495,8 @@ def point_scatterer_spectrum(
     Parameters
     ----------
     base : WavevectorSpectrum
-        Unperturbed spectrum, complete up to a truncation well above
-        ``k_max`` (see Notes).
+        Unperturbed spectrum, nonempty and complete up to a truncation well
+        above ``k_max`` (see Notes); a raw array is not accepted.
     mode_intensities : array_like
         |psi_n(r0)|^2 for every base level, unit-L2-normalised modes, as
         returned by ``mode_intensities_at``.
@@ -542,14 +538,13 @@ def point_scatterer_spectrum(
     w = as_float_array(mode_intensities, "mode_intensities")
     if np.any(w < 0.0):
         raise InvalidArgumentError("mode_intensities must be nonnegative")
-    k = base.values if isinstance(base, WavevectorSpectrum) else as_float_array(base, "base")
-    if w.size != k.size:
-        raise InvalidArgumentError("mode_intensities must match the base spectrum length")
-    if np.any(np.diff(k) <= 0.0):
-        raise InvalidArgumentError("base spectrum must be strictly ascending")
+    k = base.values
+    if k.size == 0 or w.size != k.size:
+        raise InvalidArgumentError("need a nonempty base spectrum and one mode intensity per level")
     if k[-1] < 1.2 * k_max:
         warnings.warn(
             "base spectrum truncation is close to k_max; roots near the edge may be biased",
+            QualityWarning,
             stacklevel=2,
         )
 

@@ -1,5 +1,7 @@
 """Exception hierarchy shared by all billiardlab modules."""
 
+__all__ = ["BilliardLabError", "InvalidArgumentError", "NumericalError", "QualityWarning"]
+
 
 class BilliardLabError(Exception):
     """Base class for all errors raised by this package."""

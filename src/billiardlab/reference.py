@@ -3,6 +3,9 @@
 Closed forms for the spacing distribution P(s), its cumulative I(s), the
 number variance Sigma^2(L) and the rigidity Delta3(L), plus random
 generators producing unfolded reference sequences for Monte Carlo.
+``reference_curve`` is the one entry to every curve: models are spelled
+exactly as in ``MODELS`` and statistics as ``"P"``, ``"I"``, ``"sigma2"``
+or ``"delta3"``, with no aliases.
 
 The GOE long-range forms are the standard large-L logarithmic
 approximations, accurate at the percent level for L >~ 1:
@@ -37,12 +40,9 @@ __all__ = [
     "MODELS",
     "spacing_pdf",
     "spacing_cdf",
-    "sigma2_curve",
-    "delta3_curve",
     "reference_curve",
     "generate_reference_sequence",
     "spacing_ks",
-    "semicircle_counting",
 ]
 
 MODELS = ("poisson", "goe", "semi-poisson")
@@ -50,18 +50,14 @@ MODELS = ("poisson", "goe", "semi-poisson")
 _EULER_GAMMA = float(np.euler_gamma)
 
 
-def _check_model(model: str) -> str:
-    model = str(model).lower().replace("_", "-")
-    if model == "wigner":
-        model = "goe"
+def _check_model(model: str) -> None:
     if model not in MODELS:
         raise InvalidArgumentError(f"unknown model {model!r}; expected one of {MODELS}")
-    return model
 
 
 def spacing_pdf(model: str, s) -> np.ndarray:
     """P(s) for unit mean spacing: e^-s, Wigner surmise, or 4 s e^-2s."""
-    model = _check_model(model)
+    _check_model(model)
     s = np.asarray(s, dtype=float)
     if model == "poisson":
         return np.exp(-s)
@@ -72,7 +68,7 @@ def spacing_pdf(model: str, s) -> np.ndarray:
 
 def spacing_cdf(model: str, s) -> np.ndarray:
     """I(s), the cumulative of :func:`spacing_pdf`."""
-    model = _check_model(model)
+    _check_model(model)
     s = np.asarray(s, dtype=float)
     if model == "poisson":
         return 1.0 - np.exp(-s)
@@ -109,56 +105,33 @@ def _delta3(model: str, L: np.ndarray) -> np.ndarray:
     return out
 
 
-def _long_range_curve(formula, model: str, lengths) -> StatCurve:
-    model = _check_model(model)
-    L = as_float_array(lengths, "lengths")
-    if np.any(L <= 0.0):
-        raise InvalidArgumentError("Sigma^2 and Delta3 require positive lengths L")
-    return StatCurve(L, formula(model, L))
-
-
-def sigma2_curve(model: str, lengths) -> StatCurve:
-    return _long_range_curve(_sigma2, model, lengths)
-
-
-def delta3_curve(model: str, lengths) -> StatCurve:
-    return _long_range_curve(_delta3, model, lengths)
-
-
-_STATISTICS = {
-    "p": lambda m, g: StatCurve(g, spacing_pdf(m, g)),
-    "i": lambda m, g: StatCurve(g, spacing_cdf(m, g)),
-    "sigma2": lambda m, g: sigma2_curve(m, g),
-    "delta3": lambda m, g: delta3_curve(m, g),
-}
-
-_STATISTIC_ALIASES = {"σ²": "sigma2", "Σ²": "sigma2", "δ3": "delta3", "Δ3": "delta3"}
+_CURVES = {"P": spacing_pdf, "I": spacing_cdf, "sigma2": _sigma2, "delta3": _delta3}
 
 
 def reference_curve(model: str, statistic: str, grid) -> StatCurve:
-    """Closed-form reference curve for one model and statistic.
+    """Closed-form reference curve of one model and statistic on ``grid``.
 
-    ``statistic`` is one of ``P`` (spacing density), ``I`` (cumulative
-    spacings), ``sigma2`` (number variance) or ``delta3`` (rigidity);
-    the unicode spellings of the latter two are accepted.
+    ``model`` is one of ``MODELS`` and ``statistic`` one of ``"P"``
+    (spacing density), ``"I"`` (cumulative spacings), ``"sigma2"`` (number
+    variance) or ``"delta3"`` (rigidity), spelled exactly so.  Spacing
+    grids must be >= 0 and window lengths > 0.
     """
-    model = _check_model(model)
-    key = _STATISTIC_ALIASES.get(str(statistic), str(statistic).lower())
-    if key not in _STATISTICS:
-        raise InvalidArgumentError(f"unknown statistic {statistic!r}")
+    _check_model(model)
+    if statistic not in tuple(_CURVES):
+        raise InvalidArgumentError(f"unknown statistic {statistic!r}; expected one of {tuple(_CURVES)}")
     grid = as_float_array(grid, "grid")
-    if key in ("p", "i") and np.any(grid < 0.0):
-        raise InvalidArgumentError("spacing statistics require s >= 0")
-    return _STATISTICS[key](model, grid)
+    if np.any(grid < 0.0) or (statistic in ("sigma2", "delta3") and np.any(grid == 0.0)):
+        raise InvalidArgumentError("spacing grids must be >= 0 and the lengths L of Sigma^2 and Delta3 > 0")
+    return StatCurve(grid, _CURVES[statistic](model, grid))
 
 
 # ----------------------------------------------------------------------
 # Generators
 # ----------------------------------------------------------------------
 
-def semicircle_counting(eigenvalues: np.ndarray, n: int, radius: float) -> np.ndarray:
-    """Integrated semicircle density: expected number of levels below E."""
-    e = np.clip(eigenvalues / radius, -1.0, 1.0)
+def _semicircle_counting(eigenvalues: np.ndarray, n: int) -> np.ndarray:
+    """Integrated semicircle density of radius 1: expected number of levels below E."""
+    e = np.clip(eigenvalues, -1.0, 1.0)
     return n * (0.5 + (e * np.sqrt(1.0 - e**2) + np.arcsin(e)) / math.pi)
 
 
@@ -179,7 +152,7 @@ def generate_reference_sequence(model: str, n_levels: int, seed=None, sequences:
         range is slower); the central half is kept and unfolded with the
         integrated semicircle law of radius 1.
     """
-    model = _check_model(model)
+    _check_model(model)
     n_levels = int(n_levels)
     if n_levels < 2:
         raise InvalidArgumentError("n_levels must be >= 2")
@@ -196,8 +169,8 @@ def generate_reference_sequence(model: str, n_levels: int, seed=None, sequences:
             out.append(np.cumsum(0.5 * gaps))
         else:
             central = _goe_eigenvalues(rng, 2 * n_levels)[n_levels // 2 : n_levels // 2 + n_levels]
-            out.append(semicircle_counting(central, 2 * n_levels, 1.0))
-    return UnfoldedSpectrum(out, provenance=f"{model} reference")
+            out.append(_semicircle_counting(central, 2 * n_levels))
+    return UnfoldedSpectrum(out)
 
 
 def _goe_eigenvalues(rng: np.random.Generator, n_dim: int) -> np.ndarray:
@@ -216,7 +189,7 @@ def spacing_ks(u: UnfoldedSpectrum, model: str, rescale: bool = True) -> float:
     divided by their sample mean first, which compares the shape of the
     distribution independently of small unfolding imperfections.
     """
-    model = _check_model(model)
+    _check_model(model)
     s = u.spacings()
     if s.size == 0:
         raise InvalidArgumentError("no spacings available")

@@ -22,14 +22,16 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import k0 as bessel_k0
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, QualityWarning
 from .statistics import StatCurve
 from .validation import as_complex_array, as_float_array, check_ascending, check_positive
 
 __all__ = [
     "ComplexTrace",
     "Resonance",
+    "FitReport",
     "ResonanceSet",
+    "ResonanceGuess",
     "StrengthSample",
     "breit_wigner_model",
     "detect_peaks",
@@ -113,22 +115,14 @@ class ResonanceSet:
         return np.array([r.amplitude for r in self.resonances])
 
 
-def breit_wigner_model(
-    resonances,
-    diagonal: bool,
-    frequencies,
-    background: complex = 0.0,
-    channel: tuple[int, int] | None = None,
-) -> ComplexTrace:
-    """Evaluate the multi-resonance complex Breit-Wigner sum exactly."""
+def breit_wigner_model(resonances, diagonal: bool, frequencies, background: complex = 0.0) -> ComplexTrace:
+    """The multi-resonance complex Breit-Wigner sum, as channel (1, 1) if ``diagonal`` else (1, 2)."""
     f = as_float_array(frequencies, "frequencies")
     s = np.full(f.shape, (1.0 if diagonal else 0.0) + complex(background), dtype=complex)
     for r in resonances:
         check_positive(r.width, "width")
         s -= 1j * r.amplitude / (f - r.center + 0.5j * r.width)
-    if channel is None:
-        channel = (1, 1) if diagonal else (1, 2)
-    return ComplexTrace(f, s, channel)
+    return ComplexTrace(f, s, (1, 1) if diagonal else (1, 2))
 
 
 # ----------------------------------------------------------------------
@@ -191,6 +185,7 @@ def detect_peaks(trace: ComplexTrace, prominence: float) -> list[ResonanceGuess]
 # Steps under this fraction of every standard error only polish below the noise: going on
 # to ``tol`` takes 1.5x the iterations on 50/200-pole traces and moves values < 2e-4 of one.
 _SE_STEP = 1e-3
+_WINDOW_HALF_WIDTH = 5.0  # half-width of a guess's fit window, in guessed widths
 
 
 def _bw_model(params: np.ndarray, f: np.ndarray, delta: float):
@@ -297,20 +292,13 @@ def _cluster_guesses(guesses, half_width: float):
     return clusters
 
 
-def fit_resonances(
-    trace: ComplexTrace,
-    guesses,
-    window_half_width: float = 5.0,
-    max_iter: int = 200,
-    tol: float = 1e-8,
-) -> ResonanceSet:
+def fit_resonances(trace: ComplexTrace, guesses, max_iter: int = 200, tol: float = 1e-8) -> ResonanceSet:
     """Fit the complex Breit-Wigner form to a trace around each guess.
 
-    Guesses whose windows (half-width ``window_half_width`` in units of
-    the guessed width) overlap are fitted jointly; each window carries its
-    own complex constant background accounting for the tails of
-    neighbouring resonances.  The squared modulus of (model - data) is
-    minimised jointly over real and imaginary parts by damped
+    Guesses whose windows (5 guessed widths either side) overlap are
+    fitted jointly; each window carries its own complex constant background
+    accounting for the tails of neighbouring resonances.  The squared
+    modulus of (model - data) is minimised jointly over real and imaginary parts by damped
     least-squares; widths stay within [sample step, window span] through a
     clipped log reparametrisation.  A window fit stops once an accepted
     step moves every parameter by less than 1e-3 of its standard error, or
@@ -324,14 +312,13 @@ def fit_resonances(
     guesses = list(guesses)
     if not guesses:
         raise InvalidArgumentError("need at least one guess")
-    check_positive(window_half_width, "window_half_width")
     delta = 1.0 if trace.is_diagonal else 0.0
     f = trace.frequencies
     resonances: list[Resonance] = []
     reports: list[FitReport] = []
-    for cluster in _cluster_guesses(guesses, window_half_width):
-        lo = min(g.center - window_half_width * g.width for g in cluster)
-        hi = max(g.center + window_half_width * g.width for g in cluster)
+    for cluster in _cluster_guesses(guesses, _WINDOW_HALF_WIDTH):
+        lo = min(g.center - _WINDOW_HALF_WIDTH * g.width for g in cluster)
+        hi = max(g.center + _WINDOW_HALF_WIDTH * g.width for g in cluster)
         i0, i1 = np.searchsorted(f, lo, "left"), np.searchsorted(f, hi, "right")
         if i1 - i0 < 8 * len(cluster):
             raise InvalidArgumentError(
@@ -363,6 +350,8 @@ def fit_resonances(
 # Strengths
 # ----------------------------------------------------------------------
 
+_NEIGHBORHOOD = 10  # resonances in the running local mean of the strengths
+
 @dataclass(frozen=True)
 class StrengthSample:
     """One resonance strength y = G_a*G_b and its log-relative value z."""
@@ -371,31 +360,28 @@ class StrengthSample:
     z: float
 
 
-def strength_samples(resonances, neighborhood: int = 10) -> list[StrengthSample]:
+def strength_samples(resonances) -> list[StrengthSample]:
     """Strengths y = amplitude^2 normalised by a running local mean.
 
-    The local mean <y> runs over the ``neighborhood`` resonances nearest in
-    frequency (window clamped at the ends), and z = log10(y/<y>).  The
-    local normalisation makes z invariant under any global rescaling of
-    the amplitudes.  Zero amplitudes carry no strength information and are
-    dropped with a warning.
+    The local mean <y> runs over the 10 resonances nearest in frequency
+    (window clamped at the ends), and z = log10(y/<y>).  The local
+    normalisation makes z invariant under any global rescaling of the
+    amplitudes.  Zero amplitudes carry no strength information and are
+    dropped with a :class:`QualityWarning`.
     """
-    neighborhood = int(neighborhood)
-    if neighborhood < 1:
-        raise InvalidArgumentError("neighborhood must be >= 1")
     res = sorted(resonances, key=lambda r: r.center)
     y = np.array([r.amplitude**2 for r in res])
     keep = y > 0.0
     if not np.all(keep):
-        warnings.warn(f"dropping {int(np.sum(~keep))} zero-amplitude resonances", stacklevel=2)
+        warnings.warn(f"dropping {int(np.sum(~keep))} zero-amplitude resonances", QualityWarning, stacklevel=2)
         y = y[keep]
     if y.size == 0:
         return []
     samples = []
-    half = neighborhood // 2
+    half = _NEIGHBORHOOD // 2
     for i in range(y.size):
-        lo = max(0, min(i - half, y.size - neighborhood))
-        window = y[lo : lo + neighborhood] if y.size >= neighborhood else y
+        lo = max(0, min(i - half, y.size - _NEIGHBORHOOD))
+        window = y[lo : lo + _NEIGHBORHOOD] if y.size >= _NEIGHBORHOOD else y
         local_mean = float(window.mean())
         samples.append(StrengthSample(float(y[i]), float(np.log10(y[i] / local_mean))))
     return samples

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError, QualityWarning
 from .unfolding import UnfoldedSpectrum
-from .validation import as_float_array, check_ascending
+from .validation import as_float_array, check_ascending, check_positive
 
 __all__ = [
     "StatCurve",
@@ -64,10 +64,10 @@ def spacing_distribution(u: UnfoldedSpectrum, bin_width: float = 0.1) -> StatCur
     density normalised to unit area; ``counts`` holds the bin occupancies.
     Bin centres are returned as abscissa.
     """
-    if bin_width <= 0.0:
-        raise InvalidArgumentError("bin_width must be positive")
+    bin_width = check_positive(bin_width, "bin_width")
     s = _pooled_spacings(u)
-    n_bins = max(1, int(math.ceil(s.max() / bin_width))) if s.max() > 0 else 1
+    n_bins = max(1, math.ceil(s.max() / bin_width))
+    n_bins += bin_width * n_bins < s.max()  # the quotient can round down to an edge one ulp short
     edges = bin_width * np.arange(n_bins + 1)
     counts, _ = np.histogram(s, bins=edges)
     density = counts / (s.size * bin_width)
@@ -253,8 +253,8 @@ def ks_distance(empirical: StatCurve, reference: StatCurve) -> float:
     curve over the union of the two grids gives it exactly.
     """
     for name, curve in (("empirical", empirical), ("reference", reference)):
-        if np.any(np.diff(curve.ordinate) < -1e-12):
-            raise InvalidArgumentError(f"{name} curve is not monotone, not a cumulative")
+        if curve.abscissa.size == 0 or np.any(np.diff(curve.ordinate) < -1e-12):
+            raise InvalidArgumentError(f"{name} curve is empty or not monotone, not a cumulative")
     grid = np.union1d(empirical.abscissa, reference.abscissa)
     e_lo, e_hi = _sided_values(grid, empirical.abscissa, empirical.ordinate)
     r_lo, r_hi = _sided_values(grid, reference.abscissa, reference.ordinate)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +30,6 @@ class UnfoldedSpectrum:
     """
 
     sequences: list[np.ndarray]
-    provenance: str = ""
 
     def __post_init__(self):
         cleaned = []
@@ -56,23 +55,21 @@ class UnfoldedSpectrum:
         return float(s.mean()) if s.size else float("nan")
 
 
-def unfold(
-    spectrum: WavevectorSpectrum | np.ndarray,
-    params: WeylParams,
-    provenance: str = "",
-) -> UnfoldedSpectrum:
+def unfold(spectrum: WavevectorSpectrum | np.ndarray, params: WeylParams) -> UnfoldedSpectrum:
     """Map eigen-wavevectors to dimensionless levels eps_n = N_Weyl(k_n).
 
-    Warns (:class:`QualityWarning`) when the pooled mean spacing deviates
-    from 1 by more than 2%, which indicates Weyl parameters inconsistent
-    with the spectrum.
+    ``spectrum`` is a :class:`WavevectorSpectrum` or a 1-D array of
+    ascending wavevectors; the result holds one sequence.  Warns
+    (:class:`QualityWarning`) when the pooled mean spacing deviates from 1
+    by more than 2%, which indicates Weyl parameters inconsistent with the
+    spectrum.
     """
     values = spectrum.values if isinstance(spectrum, WavevectorSpectrum) else spectrum
     values = as_float_array(values, "spectrum")
     if values.size == 0:
         raise InvalidArgumentError("cannot unfold an empty spectrum")
     eps = weyl_count(values, params)
-    u = UnfoldedSpectrum([np.asarray(eps)], provenance=provenance)
+    u = UnfoldedSpectrum([np.asarray(eps)])
     if values.size >= 2:
         mean = u.mean_spacing()
         if not (0.98 <= mean <= 1.02):
@@ -100,7 +97,7 @@ def split_sequences(u: UnfoldedSpectrum, cuts) -> UnfoldedSpectrum:
                 break
         else:
             raise InvalidArgumentError(f"cut position {cut} is not inside any sequence")
-    return UnfoldedSpectrum(sequences, provenance=u.provenance)
+    return UnfoldedSpectrum(sequences)
 
 
 @dataclass(frozen=True)

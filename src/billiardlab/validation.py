@@ -22,23 +22,22 @@ __all__ = [
 ]
 
 
-def as_float_array(x, name: str, ndim: int = 1) -> np.ndarray:
-    """Convert ``x`` to a float64 array of the given dimensionality."""
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim != ndim:
-        raise InvalidArgumentError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise InvalidArgumentError(f"{name} contains non-finite values")
-    return arr
-
-
-def as_complex_array(x, name: str) -> np.ndarray:
-    arr = np.asarray(x, dtype=complex)
+def _as_finite_1d(x, name: str, dtype) -> np.ndarray:
+    """Convert ``x`` to a finite 1-D array of ``dtype``."""
+    arr = np.asarray(x, dtype=dtype)
     if arr.ndim != 1:
         raise InvalidArgumentError(f"{name} must be 1-dimensional, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise InvalidArgumentError(f"{name} contains non-finite values")
     return arr
+
+
+def as_float_array(x, name: str) -> np.ndarray:
+    return _as_finite_1d(x, name, float)
+
+
+def as_complex_array(x, name: str) -> np.ndarray:
+    return _as_finite_1d(x, name, complex)
 
 
 def check_ascending(arr: np.ndarray, name: str, strict: bool = True) -> None:
@@ -49,8 +48,9 @@ def check_ascending(arr: np.ndarray, name: str, strict: bool = True) -> None:
         raise InvalidArgumentError(f"{name} must be ascending")
 
 
-def check_positive(x, name: str, allow_inf: bool = False) -> float:
+def check_positive(x, name: str) -> float:
+    """``x`` as a float, which must be finite and > 0."""
     x = float(x)
-    if math.isnan(x) or x <= 0 or (not allow_inf and math.isinf(x)):
-        raise InvalidArgumentError(f"{name} must be positive, got {x!r}")
+    if not (0.0 < x < math.inf):
+        raise InvalidArgumentError(f"{name} must be finite and positive, got {x!r}")
     return x

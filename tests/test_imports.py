@@ -1,7 +1,8 @@
 """Importing billiardlab loads only the scipy modules that its spectral chain calls,
-and every name a module exports resolves."""
+and every module exports exactly its public functions and classes."""
 
 import importlib
+import inspect
 import json
 import os
 import pkgutil
@@ -40,7 +41,27 @@ def test_unknown_attribute_still_raises():
         billiard.no_such_name
 
 
-@pytest.mark.parametrize("name", sorted(m.name for m in pkgutil.iter_modules([os.path.dirname(billiard.__file__)])))
+MODULES = sorted(m.name for m in pkgutil.iter_modules([os.path.dirname(billiard.__file__)]))
+
+
+@pytest.mark.parametrize("name", MODULES)
 def test_public_names_resolve(name):
     module = importlib.import_module(f"billiardlab.{name}")
     assert [n for n in getattr(module, "__all__", []) if not hasattr(module, n)] == []
+
+
+def _is_api(value) -> bool:
+    return inspect.isfunction(value) or inspect.isclass(value)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_is_exactly_the_public_api(name):
+    # constants (SPEED_OF_LIGHT, MODELS) may be exported too; every public function
+    # or class defined in the module must be, and nothing imported from elsewhere
+    module = importlib.import_module(f"billiardlab.{name}")
+    exported = {n for n in module.__all__ if _is_api(getattr(module, n, None))}
+    defined = {
+        n for n, v in vars(module).items()
+        if not n.startswith("_") and _is_api(v) and v.__module__ == module.__name__
+    }
+    assert exported == defined

@@ -10,7 +10,7 @@ from billiardlab.billiard import (
     sector_eigenvalues,
 )
 from billiardlab import billiard
-from billiardlab.errors import InvalidArgumentError, NumericalError
+from billiardlab.errors import InvalidArgumentError, NumericalError, QualityWarning
 
 from oracles import point_scatterer_roots_by_eigvalsh
 
@@ -89,7 +89,7 @@ def test_eigvalsh_oracle_across_blocks(coupling):
     w = rng.chisquare(1, E.size) / (4.0 * np.pi)
     k_max = math.sqrt(E[600])
     want = point_scatterer_roots_by_eigvalsh(np.sqrt(E), w, coupling, k_max)
-    got = point_scatterer_spectrum(np.sqrt(E), w, coupling, k_max).values
+    got = point_scatterer_spectrum(WavevectorSpectrum(np.sqrt(E)), w, coupling, k_max).values
     assert got.size == want.size
     np.testing.assert_allclose(got, want, rtol=1e-12)
 
@@ -144,7 +144,18 @@ def test_unsorted_base_rejected(intensities, base):
     bad_values = base.values.copy()
     bad_values[3], bad_values[4] = bad_values[4], bad_values[3]
     with pytest.raises(InvalidArgumentError):
-        point_scatterer_spectrum(bad_values, intensities, 1.0, 10.0)
+        point_scatterer_spectrum(WavevectorSpectrum(bad_values), intensities, 1.0, 10.0)
+
+
+def test_short_base_warns_quality(base, intensities):
+    # a base ending below 1.2 k_max biases the roots near the edge
+    with pytest.warns(QualityWarning, match="truncation"):
+        point_scatterer_spectrum(base, intensities, 1.0, base.values[-1])
+
+
+def test_empty_base_rejected():
+    with pytest.raises(InvalidArgumentError):
+        point_scatterer_spectrum(WavevectorSpectrum(np.empty(0)), np.empty(0), 1.0, 10.0)
 
 
 def test_mismatched_intensities_rejected(base, intensities):

@@ -9,10 +9,8 @@ from billiardlab.errors import InvalidArgumentError
 from billiardlab.reference import (
     MODELS,
     _goe_eigenvalues,
-    delta3_curve,
     generate_reference_sequence,
     reference_curve,
-    sigma2_curve,
     spacing_cdf,
     spacing_ks,
     spacing_pdf,
@@ -40,46 +38,41 @@ class TestClosedForms:
         assert s[np.argmax(p)] == pytest.approx(math.sqrt(2.0 / math.pi), abs=1e-4)
 
     def test_semi_poisson_sigma2_slope_half(self):
-        big = sigma2_curve("semi-poisson", [100.0, 101.0])
+        big = reference_curve("semi-poisson", "sigma2", [100.0, 101.0])
         slope = big.ordinate[1] - big.ordinate[0]
         assert slope == pytest.approx(0.5, abs=1e-12)
 
     def test_semi_poisson_sigma2_at_ten(self):
-        assert sigma2_curve("semi-poisson", [10.0]).ordinate[0] == pytest.approx(5.125)
+        assert reference_curve("semi-poisson", "sigma2", [10.0]).ordinate[0] == pytest.approx(5.125)
 
     def test_semi_poisson_delta3_kernel_vs_poisson_identity(self):
         # the same kernel applied to sigma2 = L must return L/15; the
         # semi-poisson value then sits between picket-fence and Poisson
-        d = delta3_curve("semi-poisson", [12.0]).ordinate[0]
+        d = reference_curve("semi-poisson", "delta3", [12.0]).ordinate[0]
         assert 1.0 / 12.0 < d < 12.0 / 15.0
 
     def test_semi_poisson_delta3_closed_form(self):
         L = np.geomspace(0.25, 500.0, 60)
         expected = [semi_poisson_delta3(x) for x in L]
-        np.testing.assert_allclose(delta3_curve("semi-poisson", L).ordinate, expected, rtol=1e-12)
+        np.testing.assert_allclose(reference_curve("semi-poisson", "delta3", L).ordinate, expected, rtol=1e-12)
 
     def test_semi_poisson_delta3_long_windows_against_mpmath(self):
         # adaptive quad drifted to ~2e-6 relative here without warning
         L = [1000.0, 2000.0, 5000.0]
         expected = [semi_poisson_delta3_kernel_mp(x) for x in L]
-        np.testing.assert_allclose(delta3_curve("semi-poisson", L).ordinate, expected, rtol=1e-12)
+        np.testing.assert_allclose(reference_curve("semi-poisson", "delta3", L).ordinate, expected, rtol=1e-12)
 
     def test_semi_poisson_delta3_both_branches_against_mpmath(self):
         L = [1e-6, 1e-4, 1e-3, 0.01, 0.1, 0.3, 0.5, 0.999, 1.0, 1.5, 3.0, 40.0]
         expected = [semi_poisson_delta3_kernel_mp(x) for x in L]
-        np.testing.assert_allclose(delta3_curve("semi-poisson", L).ordinate, expected, rtol=1e-13)
+        np.testing.assert_allclose(reference_curve("semi-poisson", "delta3", L).ordinate, expected, rtol=1e-13)
 
     def test_semi_poisson_sigma2_small_lengths_against_mpmath(self):
         # 1 - e^(-4L) cancels below L ~ 1e-4 (7e-12 relative at 1e-6); expm1 does not
         L = [1e-6, 1e-5, 1e-4]
         with mpmath.workdps(40):
             expected = [float(mpmath.mpf(x) / 2 + (1 - mpmath.exp(-4 * mpmath.mpf(x))) / 8) for x in L]
-        np.testing.assert_allclose(sigma2_curve("semi-poisson", L).ordinate, expected, rtol=1e-14)
-
-    def test_aliases_accepted(self):
-        a = reference_curve("goe", "Σ²", [5.0]).ordinate[0]
-        b = reference_curve("goe", "sigma2", [5.0]).ordinate[0]
-        assert a == b
+        np.testing.assert_allclose(reference_curve("semi-poisson", "sigma2", L).ordinate, expected, rtol=1e-14)
 
     def test_unknown_model_rejected(self):
         with pytest.raises(InvalidArgumentError):
@@ -89,16 +82,24 @@ class TestClosedForms:
         with pytest.raises(InvalidArgumentError):
             reference_curve("poisson", "form-factor", [1.0])
 
+    @pytest.mark.parametrize(
+        "model, statistic",
+        [("GOE", "P"), ("wigner", "P"), ("semi_poisson", "I"), ("goe", "p"), ("goe", "Σ²"), ("goe", "Delta3")],
+    )
+    def test_only_exact_spellings_accepted(self, model, statistic):
+        with pytest.raises(InvalidArgumentError):
+            reference_curve(model, statistic, [1.0])
+
     def test_negative_grid_rejected(self):
         with pytest.raises(InvalidArgumentError):
             reference_curve("poisson", "sigma2", [-1.0])
 
     @pytest.mark.parametrize("model", MODELS)
-    @pytest.mark.parametrize("curve", [sigma2_curve, delta3_curve])
+    @pytest.mark.parametrize("statistic", ["sigma2", "delta3"], ids=lambda s: f"{s}_curve")
     @pytest.mark.parametrize("L", [0.0, -1.0])
-    def test_nonpositive_lengths_rejected(self, model, curve, L):
+    def test_nonpositive_lengths_rejected(self, model, statistic, L):
         with pytest.raises(InvalidArgumentError):
-            curve(model, [L, 2.0])
+            reference_curve(model, statistic, [L, 2.0])
 
 
 class TestGenerators:
@@ -149,13 +150,13 @@ class TestReferenceAgainstSampled:
         # 50 GOE matrices of dimension 1000, central quarter of each spectrum
         u = generate_reference_sequence("goe", 250, seed=71, sequences=50)
         mc = number_variance(u, [10.0]).ordinate[0]
-        closed = sigma2_curve("goe", [10.0]).ordinate[0]
+        closed = reference_curve("goe", "sigma2", [10.0]).ordinate[0]
         assert mc == pytest.approx(closed, rel=0.05)
 
     def test_goe_delta3_matches_monte_carlo(self):
         u = generate_reference_sequence("goe", 250, seed=73, sequences=30)
         mc = dyson_mehta(u, [15.0]).ordinate[0]
-        closed = delta3_curve("goe", [15.0]).ordinate[0]
+        closed = reference_curve("goe", "delta3", [15.0]).ordinate[0]
         assert mc == pytest.approx(closed, rel=0.08)
 
     def test_poisson_sigma2_convergence(self):

@@ -80,7 +80,8 @@ class TestDetectPeaks:
     def test_diagonal_dips(self):
         rs = [Resonance(1e9, 1e6, 0.2e6)]
         f = np.linspace(0.98e9, 1.02e9, 2001)
-        trace = breit_wigner_model(rs, diagonal=True, frequencies=f, channel=(1, 1))
+        trace = breit_wigner_model(rs, diagonal=True, frequencies=f)
+        assert trace.is_diagonal
         guesses = detect_peaks(trace, prominence=0.05)
         assert len(guesses) == 1
         assert abs(guesses[0].center - 1e9) < 1e6

@@ -74,6 +74,18 @@ class TestSpacingDistribution:
         with pytest.raises(InvalidArgumentError):
             spacing_distribution(UnfoldedSpectrum([np.array([1.0])]))
 
+    def test_largest_spacing_one_ulp_above_an_edge_kept(self):
+        # 7.500000000000001 / 0.1 rounds down to 75 bins, whose last edge 7.5 is one ulp short
+        u = UnfoldedSpectrum([np.array([0.0, 0.5]), np.array([0.0, 7.500000000000001])])
+        curve = spacing_distribution(u, bin_width=0.1)
+        assert curve.counts.sum() == 2
+        assert np.sum(curve.ordinate) * 0.1 == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("bin_width", [math.nan, math.inf])
+    def test_non_finite_bin_width_rejected(self, bin_width):
+        with pytest.raises(InvalidArgumentError, match="bin_width"):
+            spacing_distribution(UnfoldedSpectrum([np.array([0.0, 1.0, 2.5])]), bin_width=bin_width)
+
     @pytest.mark.parametrize("measure", [spacing_distribution, cumulative_spacing])
     def test_no_sequences_rejected(self, measure):
         with pytest.raises(InvalidArgumentError, match="no sequences"):
@@ -185,6 +197,13 @@ class TestKsDistance:
         bad = StatCurve(grid, np.sin(6.0 * grid))
         with pytest.raises(InvalidArgumentError):
             ks_distance(good, bad)
+
+    @pytest.mark.parametrize("empty_side", [0, 1])
+    def test_empty_curve_rejected(self, empty_side):
+        curves = [StatCurve([0.0, 1.0], [0.0, 1.0]), StatCurve([0.0, 1.0], [0.0, 1.0])]
+        curves[empty_side] = StatCurve(np.empty(0), np.empty(0))
+        with pytest.raises(InvalidArgumentError, match="empty"):
+            ks_distance(*curves)
 
 
 @st.composite

@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import k0
 
+from billiardlab.errors import QualityWarning
 from billiardlab.resonance import (
     Resonance,
     k0_strength_pdf,
@@ -34,6 +35,10 @@ class TestStrengthSamples:
         with pytest.warns(UserWarning):
             samples = strength_samples(make_resonances(amps))
         assert len(samples) == 19
+
+    def test_zero_amplitude_warning_is_quality_warning(self):
+        with pytest.warns(QualityWarning, match="zero-amplitude"):
+            strength_samples(make_resonances([1.0, 0.0, 2.0]))
 
     def test_local_normalisation_window(self):
         # a slowly varying secular trend is divided out by the local mean
