@@ -20,6 +20,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import k0 as bessel_k0
 
 from .errors import InvalidArgumentError, QualityWarning
@@ -31,7 +32,6 @@ __all__ = [
     "Resonance",
     "FitReport",
     "ResonanceSet",
-    "ResonanceGuess",
     "StrengthSample",
     "breit_wigner_model",
     "detect_peaks",
@@ -66,7 +66,7 @@ class ComplexTrace:
 
 @dataclass
 class Resonance:
-    """One fitted resonance: centre, total width, amplitude sqrt(G_a*G_b)."""
+    """One resonance: centre, total width, amplitude sqrt(G_a*G_b), and the fit's errors (NaN if unfitted)."""
 
     center: float
     width: float
@@ -78,8 +78,8 @@ class Resonance:
 
     def __post_init__(self):
         check_positive(self.width, "width")
-        if self.amplitude < 0.0:
-            raise InvalidArgumentError("amplitude must be >= 0")
+        if not (math.isfinite(self.center) and 0.0 <= self.amplitude < math.inf):
+            raise InvalidArgumentError(f"need finite center, amplitude >= 0; got {self.center!r}, {self.amplitude!r}")
 
 
 @dataclass
@@ -110,10 +110,6 @@ class ResonanceSet:
     def widths(self) -> np.ndarray:
         return np.array([r.width for r in self.resonances])
 
-    @property
-    def amplitudes(self) -> np.ndarray:
-        return np.array([r.amplitude for r in self.resonances])
-
 
 def breit_wigner_model(resonances, diagonal: bool, frequencies, background: complex = 0.0) -> ComplexTrace:
     """The multi-resonance complex Breit-Wigner sum, as channel (1, 1) if ``diagonal`` else (1, 2)."""
@@ -129,25 +125,21 @@ def breit_wigner_model(resonances, diagonal: bool, frequencies, background: comp
 # Peak detection
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ResonanceGuess:
-    center: float
-    width: float
-    amplitude: float
-
-
 # Prominence floor in units of the noise sigma per quadrature: pure complex
 # noise reaches 4.8-5.4 sigma over 300k samples (seeds 0-9).
 _NOISE_PROMINENCE = 8.0
 
 
-def detect_peaks(trace: ComplexTrace, prominence: float) -> list[ResonanceGuess]:
-    """Initial resonance guesses from the modulus of the trace.
+def detect_peaks(trace: ComplexTrace, prominence: float) -> list[Resonance]:
+    """Initial resonance guesses from the modulus of a trace on a uniform grid.
 
-    Off-diagonal elements show peaks of |S|; diagonal elements show dips of
-    |S_aa|.  The width guess comes from the half-prominence crossing: for
-    the modulus of an isolated pole the full width at half maximum equals
-    sqrt(3)*G off the diagonal and G for a shallow reflection dip.
+    The guesses are unfitted :class:`Resonance` records (their errors are
+    NaN).  Off-diagonal elements show peaks of |S|; diagonal elements show
+    dips of |S_aa|.  The width guess comes from the half-prominence crossing:
+    for the modulus of an isolated pole the full width at half maximum equals
+    sqrt(3)*G off the diagonal and G for a shallow reflection dip.  Widths
+    are converted from samples to Hz with the mean step, so every step must
+    equal it to 1e-6 relative.
 
     The noise sigma per quadrature is estimated from the differenced trace,
     sigma = median|diff(S)| / (1.1774 * sqrt(2)) (the median of a Rayleigh
@@ -160,22 +152,17 @@ def detect_peaks(trace: ComplexTrace, prominence: float) -> list[ResonanceGuess]
     if len(trace) <= 10:
         raise InvalidArgumentError("trace must be longer than 10 samples")
     prominence = check_positive(prominence, "prominence")
+    f = trace.frequencies
+    step = (f[-1] - f[0]) / (len(trace) - 1)
+    if np.any(np.abs(np.diff(f) - step) > 1e-6 * step):
+        raise InvalidArgumentError("detect_peaks needs a uniform frequency grid")
     sigma = float(np.median(np.abs(np.diff(trace.values)))) / (1.1774 * math.sqrt(2.0))
     mag = np.abs(trace.values)
     signal = -mag if trace.is_diagonal else mag
     idx, props = find_peaks(signal, prominence=max(prominence, _NOISE_PROMINENCE * sigma), width=2.0)
-    step = (trace.frequencies[-1] - trace.frequencies[0]) / (len(trace) - 1)
-    guesses = []
-    for j, i in enumerate(idx):
-        fwhm_hz = props["widths"][j] * step
-        if trace.is_diagonal:
-            gamma = fwhm_hz
-            amplitude = 0.5 * props["prominences"][j] * gamma
-        else:
-            gamma = fwhm_hz / math.sqrt(3.0)
-            amplitude = 0.5 * mag[i] * gamma
-        guesses.append(ResonanceGuess(float(trace.frequencies[i]), float(gamma), float(amplitude)))
-    return guesses
+    gamma = props["widths"] * step / (1.0 if trace.is_diagonal else math.sqrt(3.0))
+    amplitude = 0.5 * (props["prominences"] if trace.is_diagonal else mag[idx]) * gamma
+    return [Resonance(float(c), float(g), float(a)) for c, g, a in zip(f[idx], gamma, amplitude)]
 
 
 # ----------------------------------------------------------------------
@@ -183,8 +170,10 @@ def detect_peaks(trace: ComplexTrace, prominence: float) -> list[ResonanceGuess]
 # ----------------------------------------------------------------------
 
 # Steps under this fraction of every standard error only polish below the noise: going on
-# to ``tol`` takes 1.5x the iterations on 50/200-pole traces and moves values < 2e-4 of one.
+# to ``_TOL`` takes 1.5x the iterations on 50/200-pole traces and moves values < 2e-4 of one.
 _SE_STEP = 1e-3
+_TOL = 1e-8  # relative step that ends exact fits, whose standard errors vanish
+_MAX_ITER = 200  # accepted steps per window fit
 _WINDOW_HALF_WIDTH = 5.0  # half-width of a guess's fit window, in guessed widths
 
 
@@ -214,7 +203,7 @@ def _bw_jacobian(params: np.ndarray, inv: np.ndarray) -> np.ndarray:
     return jac
 
 
-def _lm_minimise(p0, f, data, delta, max_iter, tol):
+def _lm_minimise(p0, f, data, delta):
     """Damped least-squares on the joint real/imaginary residual.
 
     The quadratic local model is solved with Levenberg damping scaled by
@@ -224,7 +213,7 @@ def _lm_minimise(p0, f, data, delta, max_iter, tol):
     [log(sample step), log(window span)].  The fit stops after an accepted
     step that is below ``_SE_STEP`` of every parameter's standard error
     sqrt(sigma^2 / N_ii), sigma^2 = cost/dof (never looser than the true
-    standard error, since 1/N_ii <= (N^-1)_ii), or below ``tol`` relative
+    standard error, since 1/N_ii <= (N^-1)_ii), or below ``_TOL`` relative
     to every parameter (to max|S| for the background, which may be 0), which ends exact fits (sigma -> 0).
     """
     p = np.asarray(p0, dtype=float).copy()
@@ -237,9 +226,9 @@ def _lm_minimise(p0, f, data, delta, max_iter, tol):
     cost = float(np.vdot(residual, residual).real)
     history = [cost]
     dof = max(2 * f.size - p.size, 1)
-    step_scale = np.full(p.size, np.abs(data).max())  # ``tol`` scale; the background's stays max|S|
+    step_scale = np.full(p.size, np.abs(data).max())  # ``_TOL`` scale; the background's stays max|S|
     mu = 1e-3
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         jv = _bw_jacobian(p, inv).view(float)
         normal = jv @ jv.T
         gradient = jv @ residual.view(float)
@@ -268,7 +257,7 @@ def _lm_minimise(p0, f, data, delta, max_iter, tol):
         p, inv, residual, cost = trial, inv_new, residual_new, cost_new
         history.append(cost)
         mu = max(mu / 3.0, 1e-14)
-        if rel_step < tol:
+        if rel_step < _TOL:
             return p, cost, history, True, "converged: relative step below tol", normal
         if np.all(step * step * info < _SE_STEP**2 * cost / dof):
             return p, cost, history, True, f"converged: step below {_SE_STEP:g} standard errors", normal
@@ -276,34 +265,33 @@ def _lm_minimise(p0, f, data, delta, max_iter, tol):
 
 
 def _cluster_guesses(guesses, half_width: float):
-    """Group guesses whose +-half_width*G windows overlap."""
+    """Connected groups of guesses whose +-half_width*G windows overlap or touch, in centre order.
+
+    Each window holds its centre, so a group ends where every window so far ends before every later one begins.
+    """
     order = np.argsort([g.center for g in guesses])
-    clusters: list[list[ResonanceGuess]] = []
-    hi = -np.inf
-    for i in order:
-        g = guesses[i]
-        lo_g = g.center - half_width * g.width
-        if clusters and lo_g <= hi:
-            clusters[-1].append(g)
-            hi = max(hi, g.center + half_width * g.width)
-        else:
-            clusters.append([g])
-            hi = g.center + half_width * g.width
-    return clusters
+    center = np.array([guesses[i].center for i in order])
+    width = np.array([guesses[i].width for i in order])
+    hi = np.maximum.accumulate(center + half_width * width)
+    lo = np.minimum.accumulate((center - half_width * width)[::-1])[::-1]
+    cuts = np.flatnonzero(hi[:-1] < lo[1:]) + 1
+    return [[guesses[i] for i in part] for part in np.split(order, cuts)]
 
 
-def fit_resonances(trace: ComplexTrace, guesses, max_iter: int = 200, tol: float = 1e-8) -> ResonanceSet:
+def fit_resonances(trace: ComplexTrace, guesses) -> ResonanceSet:
     """Fit the complex Breit-Wigner form to a trace around each guess.
 
-    Guesses whose windows (5 guessed widths either side) overlap are
+    ``guesses`` are :class:`Resonance` records, as from :func:`detect_peaks`.
+    Guesses whose windows (5 guessed widths either side) overlap or touch are
     fitted jointly; each window carries its own complex constant background
     accounting for the tails of neighbouring resonances.  The squared
     modulus of (model - data) is minimised jointly over real and imaginary parts by damped
     least-squares; widths stay within [sample step, window span] through a
     clipped log reparametrisation.  A window fit stops once an accepted
-    step moves every parameter by less than 1e-3 of its standard error, or
-    by less than ``tol`` relative to its value (exact models, where the
-    standard errors vanish); ``FitReport.message`` names the rule.
+    step moves every parameter by less than ``_SE_STEP`` = 1e-3 of its
+    standard error, or by less than ``_TOL`` = 1e-8 relative to its value
+    (exact models, where the standard errors vanish), or after ``_MAX_ITER``
+    = 200 steps; ``FitReport.message`` names the rule.
 
     A fit that does not converge is returned flagged
     (``Resonance.converged = False``) together with diagnostics in the
@@ -326,7 +314,7 @@ def fit_resonances(trace: ComplexTrace, guesses, max_iter: int = 200, tol: float
             )
         p0 = np.zeros(3 * len(cluster) + 2)
         p0[:-2] = [x for g in cluster for x in (g.center, g.amplitude, math.log(g.width))]
-        p, cost, history, ok, message, normal = _lm_minimise(p0, f[i0:i1], trace.values[i0:i1], delta, max_iter, tol)
+        p, cost, history, ok, message, normal = _lm_minimise(p0, f[i0:i1], trace.values[i0:i1], delta)
         try:
             cov_diag = cost / max(2 * (i1 - i0) - p.size, 1) * np.diag(np.linalg.inv(normal))
         except np.linalg.LinAlgError:
@@ -334,12 +322,9 @@ def fit_resonances(trace: ComplexTrace, guesses, max_iter: int = 200, tol: float
         err = np.sqrt(np.where(cov_diag > 0.0, cov_diag, np.nan))
         for j in range(len(cluster)):
             gamma = math.exp(p[3 * j + 2])
-            resonances.append(
-                Resonance(
-                    center=p[3 * j], width=gamma, amplitude=abs(p[3 * j + 1]), center_error=err[3 * j],
-                    amplitude_error=err[3 * j + 1], width_error=gamma * err[3 * j + 2], converged=ok,
-                )
-            )
+            resonances.append(Resonance(
+                center=p[3 * j], width=gamma, amplitude=abs(p[3 * j + 1]), center_error=err[3 * j],
+                amplitude_error=err[3 * j + 1], width_error=gamma * err[3 * j + 2], converged=ok))
         reports.append(FitReport(converged=ok, iterations=len(history) - 1, cost=cost, cost_history=history,
                                  message=message, background=complex(p[-2], p[-1])))
     order = np.argsort([r.center for r in resonances])
@@ -377,14 +362,10 @@ def strength_samples(resonances) -> list[StrengthSample]:
         y = y[keep]
     if y.size == 0:
         return []
-    samples = []
-    half = _NEIGHBORHOOD // 2
-    for i in range(y.size):
-        lo = max(0, min(i - half, y.size - _NEIGHBORHOOD))
-        window = y[lo : lo + _NEIGHBORHOOD] if y.size >= _NEIGHBORHOOD else y
-        local_mean = float(window.mean())
-        samples.append(StrengthSample(float(y[i]), float(np.log10(y[i] / local_mean))))
-    return samples
+    n = min(_NEIGHBORHOOD, y.size)
+    means = sliding_window_view(y, n).mean(axis=1)
+    z = np.log10(y / means[np.clip(np.arange(y.size) - _NEIGHBORHOOD // 2, 0, y.size - n)])
+    return [StrengthSample(float(a), float(b)) for a, b in zip(y, z)]
 
 
 def k0_strength_pdf(z_grid) -> StatCurve:

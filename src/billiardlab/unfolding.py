@@ -9,7 +9,7 @@ import numpy as np
 
 from .billiard import WavevectorSpectrum, WeylParams, weyl_count
 from .errors import InvalidArgumentError, QualityWarning
-from .validation import as_float_array
+from .validation import as_float_array, check_ascending
 
 __all__ = [
     "UnfoldedSpectrum",
@@ -35,8 +35,7 @@ class UnfoldedSpectrum:
         cleaned = []
         for i, seq in enumerate(self.sequences):
             seq = as_float_array(seq, f"sequences[{i}]")
-            if seq.size and np.any(np.diff(seq) < 0.0):
-                raise InvalidArgumentError(f"sequences[{i}] must be ascending")
+            check_ascending(seq, f"sequences[{i}]", strict=False)
             cleaned.append(seq)
         self.sequences = cleaned
 
@@ -110,18 +109,20 @@ class MissingLevel:
     step: float
 
 
-def missing_level_scan(
-    values, params: WeylParams, window: int = 20
-) -> list[MissingLevel]:
+def missing_level_scan(values, params: WeylParams, window: int = 20) -> list[MissingLevel]:
     """Locate missing levels from drops of the fluctuating counting function.
 
-    Computes N_fluc(k_n) = n - N_Weyl(k_n) and compares its running mean
-    over ``window`` levels on both sides of every position.  A drop of at
-    least 0.7 between adjacent plateaus is reported; a single missing level
-    produces a step near -1, and deletions closer together than the window
-    merge into one report with step near -2.
+    Computes N_fluc(k_n) = n - N_Weyl(k_n) for ascending wavevectors and
+    compares its running mean over ``window`` levels on both sides of every
+    position.  Each run of drops of at least 0.7 is one report, at its
+    deepest drop; a single missing level produces a step near -1, and
+    deletions closer together than the window merge into one report with
+    step near -2.  The fixed 0.7 is calibrated on the paper's band: the
+    N_fluc noise grows with k, so complete sector spectra give no report at
+    4.6 GHz but 22 at 10 GHz and 74 at 20 GHz.
     """
     k = as_float_array(values, "values")
+    check_ascending(k, "values", strict=False)
     window = int(window)
     if window < 1:
         raise InvalidArgumentError("window must be >= 1")
@@ -134,19 +135,6 @@ def missing_level_scan(
     ahead = (csum[centers + window] - csum[centers]) / window
     behind = (csum[centers] - csum[centers - window]) / window
     drop = ahead - behind
-    hits = drop <= -0.7
-    reports: list[MissingLevel] = []
-    i = 0
-    while i < hits.size:
-        if not hits[i]:
-            i += 1
-            continue
-        j = i
-        while j < hits.size and hits[j]:
-            j += 1
-        run = slice(i, j)
-        best = i + int(np.argmin(drop[run]))
-        idx = int(centers[best])
-        reports.append(MissingLevel(position=float(k[idx]), index=idx, step=float(drop[best])))
-        i = j
-    return reports
+    edges = np.flatnonzero(np.diff(np.concatenate([[False], drop <= -0.7, [False]])))
+    best = [i + int(np.argmin(drop[i:j])) for i, j in zip(edges[::2], edges[1::2])]
+    return [MissingLevel(position=float(k[window + b]), index=window + b, step=float(drop[b])) for b in best]

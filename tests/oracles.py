@@ -318,3 +318,61 @@ def minpack_window_fit(trace, cluster, half_width=5.0):
     q0 = np.array([v for g in cluster for v in (g.center - origin, g.amplitude, math.log(g.width))] + [0.0, 0.0])
     q = least_squares(residual, q0, method="lm", x_scale="jac", xtol=1e-14, ftol=1e-14, gtol=1e-14).x
     return [(origin + c, math.exp(w), abs(a)) for c, a, w in q[:-2].reshape(-1, 3)]
+
+
+def strength_samples_frozen(resonances):
+    """(y, z) per resonance by the per-index running-mean loop, verbatim minus the warning."""
+    res = sorted(resonances, key=lambda r: r.center)
+    y = np.array([r.amplitude**2 for r in res])
+    y = y[y > 0.0]
+    samples = []
+    for i in range(y.size):
+        lo = max(0, min(i - 5, y.size - 10))
+        window = y[lo : lo + 10] if y.size >= 10 else y
+        local_mean = float(window.mean())
+        samples.append((float(y[i]), float(np.log10(y[i] / local_mean))))
+    return samples
+
+
+def missing_level_scan_frozen(k: np.ndarray, n_weyl: np.ndarray, window: int):
+    """(position, index, step) per drop by the run-scanning loop, verbatim; ``n_weyl`` is N_Weyl(k)."""
+    fluc = np.arange(1, k.size + 1) - n_weyl
+    csum = np.concatenate([[0.0], np.cumsum(fluc)])
+    centers = np.arange(window, k.size - window + 1)
+    ahead = (csum[centers + window] - csum[centers]) / window
+    behind = (csum[centers] - csum[centers - window]) / window
+    drop = ahead - behind
+    hits = drop <= -0.7
+    reports = []
+    i = 0
+    while i < hits.size:
+        if not hits[i]:
+            i += 1
+            continue
+        j = i
+        while j < hits.size and hits[j]:
+            j += 1
+        best = i + int(np.argmin(drop[i:j]))
+        idx = int(centers[best])
+        reports.append((float(k[idx]), idx, float(drop[best])))
+        i = j
+    return reports
+
+
+def overlap_components(lo, hi) -> set[frozenset[int]]:
+    """Connected components of closed intervals [lo_i, hi_i], two joined when they share a point."""
+    parent = list(range(len(lo)))
+
+    def root(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i in range(len(lo)):
+        for j in range(i):
+            if lo[i] <= hi[j] and lo[j] <= hi[i]:
+                parent[root(i)] = root(j)
+    groups: dict[int, set[int]] = {}
+    for i in range(len(lo)):
+        groups.setdefault(root(i), set()).add(i)
+    return {frozenset(g) for g in groups.values()}

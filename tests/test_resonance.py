@@ -2,20 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from billiardlab import resonance
 from billiardlab.errors import InvalidArgumentError
 from billiardlab.resonance import (
     ComplexTrace,
     Resonance,
-    ResonanceGuess,
     _cluster_guesses,
     breit_wigner_model,
     detect_peaks,
     fit_resonances,
 )
 
-from oracles import minpack_window_fit
+from oracles import minpack_window_fit, overlap_components
 
 
 def synth_resonances(rng, n, f_start=3.0e9, width_lo=0.8e6, width_hi=1.2e6):
@@ -54,6 +55,17 @@ class TestModel:
             assert abs(f[max(0, i - 50) + np.argmax(window)] - r.center) <= step
 
 
+class TestResonanceRecord:
+    @pytest.mark.parametrize(
+        "center, amplitude",
+        [(math.nan, 0.2e6), (math.inf, 0.2e6), (1e9, math.nan), (1e9, math.inf), (1e9, -1.0), (math.nan, math.nan)],
+        ids=["nan center", "inf center", "nan amplitude", "inf amplitude", "negative amplitude", "both nan"],
+    )
+    def test_non_finite_or_negative_rejected(self, center, amplitude):
+        with pytest.raises(InvalidArgumentError):
+            Resonance(center, 1e6, amplitude)
+
+
 class TestDetectPeaks:
     def test_single_resonance(self):
         r = Resonance(1e9, 1e6, 0.2e6)
@@ -85,6 +97,24 @@ class TestDetectPeaks:
         guesses = detect_peaks(trace, prominence=0.05)
         assert len(guesses) == 1
         assert abs(guesses[0].center - 1e9) < 1e6
+
+    def test_guesses_are_unfitted_records(self):
+        f = np.linspace(0.98e9, 1.02e9, 2001)
+        guesses = detect_peaks(breit_wigner_model([Resonance(1e9, 1e6, 0.2e6)], False, f), prominence=0.05)
+        assert all(isinstance(g, Resonance) and math.isnan(g.center_error) for g in guesses)
+
+    def test_non_uniform_grid_rejected(self):
+        # 95 kHz steps below 0.999 GHz and 5 kHz above: one mean step would guess 1.76 MHz for a 1 MHz pole
+        f = np.concatenate([np.arange(0.98e9, 0.999e9, 95e3), np.arange(0.999e9, 1.02e9, 5e3)])
+        trace = breit_wigner_model([Resonance(1e9, 1e6, 0.2e6)], False, f)
+        with pytest.raises(InvalidArgumentError, match="uniform"):
+            detect_peaks(trace, prominence=0.05)
+
+    def test_arange_grid_accepted(self):
+        f = np.arange(2.98e9, 3.02e9, 1e4)
+        trace = breit_wigner_model([Resonance(3e9, 1e6, 0.2e6)], False, f)
+        [guess] = detect_peaks(trace, prominence=0.05)
+        assert guess.width == pytest.approx(1e6, rel=0.1)
 
     def test_short_trace_rejected(self):
         f = np.linspace(1e9, 1.01e9, 10)
@@ -154,8 +184,8 @@ class TestFit:
         f = np.linspace(1.0e9 - 15 * w, 1.0e9 + 16 * w, 4000)
         trace = breit_wigner_model(truth, diagonal=False, frequencies=f)
         guesses = [
-            ResonanceGuess(1.0e9 - 0.2 * w, 0.8 * w, 0.2e6),
-            ResonanceGuess(1.0e9 + 1.3 * w, 1.2 * w, 0.2e6),
+            Resonance(1.0e9 - 0.2 * w, 0.8 * w, 0.2e6),
+            Resonance(1.0e9 + 1.3 * w, 1.2 * w, 0.2e6),
         ]
         fitted = fit_resonances(trace, guesses)
         assert len(fitted) == 2
@@ -193,7 +223,29 @@ class TestFit:
         f = np.linspace(0.9e9, 1.1e9, 60)  # ~3 samples across the window
         trace = breit_wigner_model(truth, diagonal=False, frequencies=f)
         with pytest.raises(InvalidArgumentError):
-            fit_resonances(trace, [ResonanceGuess(1e9, 1e6, 0.2e6)])
+            fit_resonances(trace, [Resonance(1e9, 1e6, 0.2e6)])
+
+
+class TestClusterGuesses:
+    """The centre-order cuts against a brute-force grouping of overlapping windows."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        windows=st.lists(st.tuples(st.integers(0, 60), st.integers(1, 4)), min_size=1, max_size=25),
+        half_width=st.sampled_from([0.5, 1.0, 2.0, 5.0]),
+    )
+    # the wider window at centre 11 reaches back over the narrow one to the window at 0
+    @example(windows=[(0, 1), (11, 1), (11, 2)], half_width=5.0)
+    def test_components_of_overlapping_windows(self, windows, half_width):
+        # integer centres and widths make touching windows (lo_i == hi_j) frequent
+        guesses = [Resonance(float(c), float(w), 0.0) for c, w in windows]
+        clusters = _cluster_guesses(guesses, half_width)
+        index = {id(g): i for i, g in enumerate(guesses)}
+        lo = [g.center - half_width * g.width for g in guesses]
+        hi = [g.center + half_width * g.width for g in guesses]
+        assert {frozenset(index[id(g)] for g in c) for c in clusters} == overlap_components(lo, hi)
+        centers = [g.center for c in clusters for g in c]
+        assert len(centers) == len(guesses) and centers == sorted(centers)
 
 
 def spaced_trace(rng, n, noise, step=1e4):
@@ -276,7 +328,7 @@ class TestRobustness:
         values = 0.01 * (rng.standard_normal(f.size) + 1j * rng.standard_normal(f.size))
         i = 1000
         values[i] += 0.1
-        fitted = fit_resonances(ComplexTrace(f, values), [ResonanceGuess(f[i], step, 0.05 * step)])
+        fitted = fit_resonances(ComplexTrace(f, values), [Resonance(f[i], step, 0.05 * step)])
         r = fitted.resonances[0]
         report = fitted.reports[0]
         assert step * (1.0 - 1e-12) <= r.width
@@ -296,7 +348,7 @@ class TestRobustness:
             return original(params, freqs, delta)
 
         monkeypatch.setattr(resonance, "_bw_model", spy)
-        fit_resonances(trace, [ResonanceGuess(1e9, 2.0 * step, 1e3), ResonanceGuess(1e9 + 3 * step, step, 1e3)])
+        fit_resonances(trace, [Resonance(1e9, 2.0 * step, 1e3), Resonance(1e9 + 3 * step, step, 1e3)])
         assert seen
         for widths, span in seen:
             assert np.all(widths >= step * (1.0 - 1e-12)) and np.all(widths <= span * (1.0 + 1e-12))
@@ -332,9 +384,10 @@ class TestStoppingRules:
         assert fitted.reports[0].converged
         assert "standard errors" in fitted.reports[0].message
 
-    def test_max_iter_is_reported(self):
+    def test_max_iter_is_reported(self, monkeypatch):
         f = np.linspace(0.99e9, 1.01e9, 2000)
         trace = breit_wigner_model([Resonance(1e9, 1e6, 0.2e6)], False, f, background=0.05 - 0.02j)
-        fitted = fit_resonances(trace, detect_peaks(trace, prominence=0.05), max_iter=1)
+        monkeypatch.setattr(resonance, "_MAX_ITER", 1)
+        fitted = fit_resonances(trace, detect_peaks(trace, prominence=0.05))
         assert not fitted.reports[0].converged and not fitted.resonances[0].converged
         assert fitted.reports[0].message == "reached max_iter"

@@ -1,7 +1,10 @@
+import contextlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import k0
 
@@ -11,6 +14,8 @@ from billiardlab.resonance import (
     k0_strength_pdf,
     strength_samples,
 )
+
+from oracles import strength_samples_frozen
 
 
 def make_resonances(amplitudes):
@@ -47,6 +52,24 @@ class TestStrengthSamples:
         samples = strength_samples(make_resonances(np.sqrt(trend)))
         z = np.array([s.z for s in samples])
         assert np.max(np.abs(z)) < 0.1
+
+
+class TestStrengthSamplesOracle:
+    """Sliding-window local means against the per-index loop, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1e3)), max_size=40))
+    def test_matches_frozen_loop(self, amplitudes):
+        resonances = make_resonances(amplitudes)
+        dropped = 0.0 in amplitudes
+        with pytest.warns(QualityWarning, match="zero-amplitude") if dropped else contextlib.nullcontext():
+            samples = strength_samples(resonances)
+        assert [(s.y, s.z) for s in samples] == strength_samples_frozen(resonances)
+
+    @pytest.mark.parametrize("n", [1, 2, 9, 10, 11, 57, 1000])
+    def test_matches_frozen_loop_at_sizes(self, n):
+        resonances = make_resonances(np.random.default_rng(n).uniform(0.05e6, 0.3e6, n))
+        assert [(s.y, s.z) for s in strength_samples(resonances)] == strength_samples_frozen(resonances)
 
 
 class TestK0Pdf:

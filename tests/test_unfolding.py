@@ -2,8 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from billiardlab.billiard import WeylParams, weyl_count
+from billiardlab.billiard import (
+    WeylParams,
+    frequency_to_wavevector,
+    sector_eigenvalues,
+    sector_weyl_params,
+    weyl_count,
+)
 from billiardlab.errors import InvalidArgumentError, QualityWarning
 from billiardlab.unfolding import (
     UnfoldedSpectrum,
@@ -11,6 +19,8 @@ from billiardlab.unfolding import (
     split_sequences,
     unfold,
 )
+
+from oracles import missing_level_scan_frozen
 
 PICKET_PARAMS = WeylParams(area=4.0 * math.pi, perimeter=1e-9, constant=0.0)
 
@@ -107,6 +117,37 @@ class TestMissingLevelScan:
         assert len(reports) == 1
         assert reports[0].step == pytest.approx(-2.0, abs=0.4)
 
+    def test_unsorted_levels_rejected(self, sector_spectrum_46, sector_weyl_46):
+        shuffled = np.random.default_rng(0).permutation(sector_spectrum_46.values)
+        with pytest.raises(InvalidArgumentError, match="ascending"):
+            missing_level_scan(shuffled, sector_weyl_46)
+
     def test_too_few_levels_rejected(self):
         with pytest.raises(InvalidArgumentError):
             missing_level_scan(picket_wavevectors(20), PICKET_PARAMS, window=10)
+
+
+@pytest.fixture(scope="module")
+def sector_10ghz(sector):
+    """The complete 10 GHz sector spectrum (1129 levels) and its fitted Weyl parameters."""
+    spectrum = sector_eigenvalues(sector, frequency_to_wavevector(10e9))
+    return spectrum.values, sector_weyl_params(sector, spectrum)
+
+
+class TestMissingLevelScanOracle:
+    """Runs found from one diff of the padded mask against the run-scanning loop, bit for bit."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(deleted=st.lists(st.integers(0, 1128), unique=True, max_size=15), window=st.integers(1, 40))
+    def test_random_deletions_match_frozen_loop(self, sector_10ghz, deleted, window):
+        k, params = sector_10ghz
+        k = np.delete(k, deleted)
+        reports = [(r.position, r.index, r.step) for r in missing_level_scan(k, params, window)]
+        assert reports == missing_level_scan_frozen(k, weyl_count(k, params), window)
+
+    def test_runs_at_both_ends(self):
+        # the first and the last position both hit: the padded mask closes each run
+        k = np.delete(picket_wavevectors(60), [10, 49])
+        reports = [(r.position, r.index, r.step) for r in missing_level_scan(k, PICKET_PARAMS, window=10)]
+        assert len(reports) == 2
+        assert reports == missing_level_scan_frozen(k, weyl_count(k, PICKET_PARAMS), 10)
