@@ -362,9 +362,9 @@ def _sector_corner_constant(geom: SectorGeometry) -> float:
 def sector_weyl_params(
     geom: SectorGeometry, spectrum: WavevectorSpectrum | None = None
 ) -> WeylParams:
-    """Weyl parameters of the sector; C fitted to ``spectrum`` when given,
-    otherwise the corner-correction value."""
-    if spectrum is not None and len(spectrum):
+    """Weyl parameters of the sector; C fitted to ``spectrum`` when given
+    (an empty one is rejected), otherwise the corner-correction value."""
+    if spectrum is not None:
         return fit_weyl_constant(spectrum.values, geom.area, geom.perimeter)
     return WeylParams(geom.area, geom.perimeter, _sector_corner_constant(geom))
 
@@ -490,7 +490,7 @@ def point_scatterer_spectrum(
     there is exactly one root per gap whenever both neighbouring
     intensities are nonzero.  With attractive coupling (``coupling < 0``)
     one more root can lie in (0, E_1), below the first pole.  Levels whose
-    mode vanishes at the scatterer do not feel it and are kept unshifted.
+    intensity is below rounding (see Notes) are kept unshifted.
 
     Parameters
     ----------
@@ -522,7 +522,9 @@ def point_scatterer_spectrum(
     derivatives, and every gap takes two-pole rational ("middle way")
     steps in coordinates centred on its nearer pole until the step is at
     rounding level.  Roots come out to a few ulps, also when a tiny
-    intensity puts a root next to its pole.
+    intensity puts a root next to its pole.  As in LAPACK ``dlaed2``, a
+    level is deflated, i.e. left out of the solve and kept unshifted, when
+    sqrt(w_n) <= 8 eps max(E_max, sqrt(max w)), E_max the largest base E_n.
 
     The truncation of the base is not negligible: for the 60-degree,
     R = 0.8 m sector up to 4.6 GHz at coupling 5, a base to 2*k_max
@@ -550,7 +552,7 @@ def point_scatterer_spectrum(
 
     E = k**2
     e_max = k_max * k_max
-    active = w > 0.0
+    active = np.sqrt(w) > 8.0 * _EPS * max(E[-1], math.sqrt(w.max()))
     ka, Ea, wa = k[active], E[active], w[active]
     # roots of f = 1/coupling - F, which increases across every gap
     shift = inv_coupling - float(np.sum(wa * Ea / (1.0 + Ea * Ea)))

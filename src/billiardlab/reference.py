@@ -181,19 +181,17 @@ def _goe_eigenvalues(rng: np.random.Generator, n_dim: int) -> np.ndarray:
     return eigvalsh_tridiagonal(diagonal, off_diagonal, lapack_driver="sterf")
 
 
-def spacing_ks(u: UnfoldedSpectrum, model: str, rescale: bool = True) -> float:
-    """Exact KS statistic of the pooled spacings against a model cdf.
+def spacing_ks(u: UnfoldedSpectrum, model: str) -> float:
+    """Exact KS statistic of the pooled spacings, rescaled, against a model cdf.
 
     :func:`~billiardlab.statistics.ks_distance` of their step curve against
-    the model cdf sampled at the spacings.  With ``rescale`` the spacings are
-    divided by their sample mean first, which compares the shape of the
-    distribution independently of small unfolding imperfections.
+    the model cdf sampled at the spacings.  The spacings are divided by
+    their sample mean first, which compares the shape of the distribution
+    independently of small unfolding imperfections.  The statistic of the
+    spacings as they are is ``ks_distance(cumulative_spacing(u),
+    reference_curve(model, "I", np.sort(u.spacings())))``.
     """
     _check_model(model)
     s = u.spacings()
-    if s.size == 0:
-        raise InvalidArgumentError("no spacings available")
-    if rescale:
-        s = s / s.mean()
-    s = np.sort(s)
+    s = np.sort(s / s.mean())
     return ks_distance(_step_curve(s), StatCurve(s, spacing_cdf(model, s)))

@@ -48,15 +48,6 @@ class StatCurve:
                 raise InvalidArgumentError("counts must match the abscissa length")
 
 
-def _pooled_spacings(u: UnfoldedSpectrum) -> np.ndarray:
-    if not u.sequences:
-        raise InvalidArgumentError("unfolded spectrum has no sequences")
-    for i, seq in enumerate(u.sequences):
-        if seq.size < 2:
-            raise InvalidArgumentError(f"sequences[{i}] has fewer than 2 levels")
-    return u.spacings()
-
-
 def spacing_distribution(u: UnfoldedSpectrum, bin_width: float = 0.1) -> StatCurve:
     """Histogram estimate of the nearest-neighbour spacing density P(s).
 
@@ -65,7 +56,7 @@ def spacing_distribution(u: UnfoldedSpectrum, bin_width: float = 0.1) -> StatCur
     Bin centres are returned as abscissa.
     """
     bin_width = check_positive(bin_width, "bin_width")
-    s = _pooled_spacings(u)
+    s = u.spacings()
     n_bins = max(1, math.ceil(s.max() / bin_width))
     n_bins += bin_width * n_bins < s.max()  # the quotient can round down to an edge one ulp short
     edges = bin_width * np.arange(n_bins + 1)
@@ -88,20 +79,22 @@ def cumulative_spacing(u: UnfoldedSpectrum) -> StatCurve:
     that a sup-norm comparison against a reference curve recovers the exact
     Kolmogorov-Smirnov statistic.
     """
-    return _step_curve(np.sort(_pooled_spacings(u)))
+    return _step_curve(np.sort(u.spacings()))
 
 
 # Windows swept at once: few enough that the heap keeps a piece's temporaries
 # between calls instead of handing them back to the OS to be faulted in anew.
 # An L with more windows is swept in pieces into one buffer of its values.
 _SWEEP_BUDGET = 2**12
+_STRIDE_FRACTION = 0.25  # windows of length L slide in steps of L/4
 
 
-def _window_lengths(u: UnfoldedSpectrum, lengths, stride_fraction: float) -> np.ndarray:
+def _window_lengths(u: UnfoldedSpectrum, lengths) -> np.ndarray:
+    """Valid lengths leave every L a window in every sequence: each spans more than max(L)."""
     lengths = as_float_array(lengths, "lengths")
     check_ascending(lengths, "lengths", strict=False)
-    if lengths.size == 0 or np.any(lengths <= 0.0) or not stride_fraction > 0.0:
-        raise InvalidArgumentError("window lengths (at least one) and stride_fraction must be positive")
+    if lengths.size == 0 or np.any(lengths <= 0.0):
+        raise InvalidArgumentError("window lengths (at least one) must be positive")
     L_max = lengths.max()
     for i, seq in enumerate(u.sequences):
         if seq.size < 2 * L_max or seq[-1] - seq[0] <= L_max:
@@ -113,8 +106,9 @@ def _window_sums(sequences, lengths: np.ndarray, stride_fraction: float, statist
     """Per L: sums of a per-window statistic and of the level counts, and the window count.
 
     Windows of length L start at seq[0] + k * stride_fraction * L while they
-    fit.  ``statistic(seq, lengths)`` returns ``values(starts, lo, hi, L, j)``,
-    a value per window from its start, levels [lo, hi), L and its index j.  All L
+    fit; every sequence spans more than every L (see ``_window_lengths``).
+    ``statistic(seq, lengths)`` returns ``values(starts, lo, hi, L, j)``, a
+    value per window from its start, levels [lo, hi), L and its index j.  All L
     are laid end to end and located by one searchsorted pair; each L is summed
     by its own np.add.reduce (np.sum) over its slice, then across sequences.
     """
@@ -123,7 +117,7 @@ def _window_sums(sequences, lengths: np.ndarray, stride_fraction: float, statist
     n_windows = np.zeros(lengths.size, dtype=int)
     for seq in sequences:
         span = seq[-1] - seq[0]
-        n = np.where(span > lengths, np.floor((span - lengths) / strides) + 1.0, 0.0).astype(int)
+        n = (np.floor((span - lengths) / strides) + 1.0).astype(int)
         bounds = np.concatenate([[0], np.cumsum(n)])
         values = statistic(seq, lengths)
         first = 0
@@ -144,8 +138,6 @@ def _window_sums(sequences, lengths: np.ndarray, stride_fraction: float, statist
                 sums[i] += float(np.add.reduce(vals[bounds[i] - base : bounds[i + 1] - base]))
             first = last
         n_windows += n
-    if not np.all(n_windows):
-        raise InvalidArgumentError(f"no window of length {lengths[n_windows == 0][0]} fits any sequence")
     return sums, count_sums, n_windows
 
 
@@ -153,18 +145,18 @@ def _sigma2_statistic(seq: np.ndarray, lengths: np.ndarray):
     return lambda starts, lo, hi, L, j: (hi - lo - L) ** 2
 
 
-def number_variance(u: UnfoldedSpectrum, lengths, stride_fraction: float = 0.25) -> StatCurve:
+def number_variance(u: UnfoldedSpectrum, lengths) -> StatCurve:
     """Number variance Sigma^2(L) = <(N(L) - L)^2> over sliding windows.
 
-    Windows of length L slide in steps of ``stride_fraction * L`` within
-    each sequence; window results are pooled across sequences with equal
-    weight per window.  One :class:`QualityWarning` names every L whose mean
+    Windows of length L slide in steps of L/4 within each sequence, which
+    must span more than max(L); window results are pooled across sequences
+    with equal weight per window.  One :class:`QualityWarning` names every L whose mean
     count is off L by more than 5% of L and more than three standard errors,
     sqrt(var(N) L / span) with span summed over the sequences (windows of one
     L are independent about once per L): correct spans, off by sqrt(levels), pass.
     """
-    lengths = _window_lengths(u, lengths, stride_fraction)
-    sq_sums, count_sums, n_windows = _window_sums(u.sequences, lengths, stride_fraction, _sigma2_statistic)
+    lengths = _window_lengths(u, lengths)
+    sq_sums, count_sums, n_windows = _window_sums(u.sequences, lengths, _STRIDE_FRACTION, _sigma2_statistic)
     curve = StatCurve(lengths, sq_sums / n_windows, n_windows)
     deviation = np.abs(count_sums / n_windows - lengths)
     span = sum(seq[-1] - seq[0] for seq in u.sequences)
@@ -214,15 +206,16 @@ def _delta3_statistic(seq: np.ndarray, lengths: np.ndarray):
     return values
 
 
-def dyson_mehta(u: UnfoldedSpectrum, lengths, stride_fraction: float = 0.25) -> StatCurve:
+def dyson_mehta(u: UnfoldedSpectrum, lengths) -> StatCurve:
     """Spectral rigidity Delta3(L): least-squares deviation of the staircase.
 
     Per window the minimising straight line is obtained in closed form
     from the piecewise-analytic integrals of the staircase; the quadratic
-    deviation is averaged over window positions and sequences.
+    deviation is averaged over windows sliding in steps of L/4 within each
+    sequence, which must span more than max(L), and over sequences.
     """
-    lengths = _window_lengths(u, lengths, stride_fraction)
-    sums, _, n_windows = _window_sums(u.sequences, lengths, stride_fraction, _delta3_statistic)
+    lengths = _window_lengths(u, lengths)
+    sums, _, n_windows = _window_sums(u.sequences, lengths, _STRIDE_FRACTION, _delta3_statistic)
     return StatCurve(lengths, sums / n_windows, n_windows)
 
 

@@ -1,4 +1,4 @@
-"""Unfolding, sequence splitting and missing-level detection."""
+"""Unfolding and missing-level detection."""
 
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ from .validation import as_float_array, check_ascending
 __all__ = [
     "UnfoldedSpectrum",
     "unfold",
-    "split_sequences",
     "missing_level_scan",
     "MissingLevel",
 ]
@@ -22,19 +21,24 @@ __all__ = [
 
 @dataclass
 class UnfoldedSpectrum:
-    """Dimensionless levels with unit mean spacing, split into complete sequences.
+    """Dimensionless levels with unit mean spacing, in one or more sequences.
 
-    Spacing statistics are always computed within sequences, never across a
-    split, so incomplete stretches of a measured spectrum can be excised
-    without biasing the small-spacing end of the distributions.
+    There is at least one sequence and every sequence holds at least 2
+    ascending levels, so every spectrum has spacings.  Spacing statistics
+    are computed within sequences, never across them, which lets Monte-Carlo
+    ensembles pool independent realisations.
     """
 
     sequences: list[np.ndarray]
 
     def __post_init__(self):
+        if not self.sequences:
+            raise InvalidArgumentError("unfolded spectrum has no sequences")
         cleaned = []
         for i, seq in enumerate(self.sequences):
             seq = as_float_array(seq, f"sequences[{i}]")
+            if seq.size < 2:
+                raise InvalidArgumentError(f"sequences[{i}] has fewer than 2 levels, so no spacings")
             check_ascending(seq, f"sequences[{i}]", strict=False)
             cleaned.append(seq)
         self.sequences = cleaned
@@ -43,60 +47,31 @@ class UnfoldedSpectrum:
         return int(sum(seq.size for seq in self.sequences))
 
     def spacings(self) -> np.ndarray:
-        """Pooled nearest-neighbour spacings, never across sequence cuts."""
-        parts = [np.diff(seq) for seq in self.sequences if seq.size >= 2]
-        if not parts:
-            return np.empty(0)
-        return np.concatenate(parts)
+        """Pooled nearest-neighbour spacings, never across sequences."""
+        return np.concatenate([np.diff(seq) for seq in self.sequences])
 
     def mean_spacing(self) -> float:
-        s = self.spacings()
-        return float(s.mean()) if s.size else float("nan")
+        return float(self.spacings().mean())
 
 
 def unfold(spectrum: WavevectorSpectrum | np.ndarray, params: WeylParams) -> UnfoldedSpectrum:
     """Map eigen-wavevectors to dimensionless levels eps_n = N_Weyl(k_n).
 
-    ``spectrum`` is a :class:`WavevectorSpectrum` or a 1-D array of
-    ascending wavevectors; the result holds one sequence.  Warns
-    (:class:`QualityWarning`) when the pooled mean spacing deviates from 1
-    by more than 2%, which indicates Weyl parameters inconsistent with the
-    spectrum.
+    ``spectrum`` is a :class:`WavevectorSpectrum` or a 1-D array of at
+    least 2 ascending wavevectors; the result holds one sequence.  Warns
+    (:class:`QualityWarning`) when the mean spacing deviates from 1 by more
+    than 2%, which indicates Weyl parameters inconsistent with the spectrum.
     """
     values = spectrum.values if isinstance(spectrum, WavevectorSpectrum) else spectrum
-    values = as_float_array(values, "spectrum")
-    if values.size == 0:
-        raise InvalidArgumentError("cannot unfold an empty spectrum")
-    eps = weyl_count(values, params)
-    u = UnfoldedSpectrum([np.asarray(eps)])
-    if values.size >= 2:
-        mean = u.mean_spacing()
-        if not (0.98 <= mean <= 1.02):
-            warnings.warn(
-                f"unfolded mean spacing {mean:.4f} deviates from 1 by more than 2%",
-                QualityWarning,
-                stacklevel=2,
-            )
+    u = UnfoldedSpectrum([weyl_count(as_float_array(values, "spectrum"), params)])
+    mean = u.mean_spacing()
+    if not (0.98 <= mean <= 1.02):
+        warnings.warn(
+            f"unfolded mean spacing {mean:.4f} deviates from 1 by more than 2%",
+            QualityWarning,
+            stacklevel=2,
+        )
     return u
-
-
-def split_sequences(u: UnfoldedSpectrum, cuts) -> UnfoldedSpectrum:
-    """Split sequences at the given level positions (dimensionless units).
-
-    Every cut must fall strictly inside one of the sequences.  Levels are
-    preserved; only the pairing of neighbours across a cut is removed.
-    """
-    cuts = np.atleast_1d(np.asarray(cuts, dtype=float))
-    sequences = [seq.copy() for seq in u.sequences]
-    for cut in cuts:
-        for i, seq in enumerate(sequences):
-            if seq.size >= 2 and seq[0] < cut < seq[-1]:
-                j = int(np.searchsorted(seq, cut))
-                sequences[i : i + 1] = [seq[:j], seq[j:]]
-                break
-        else:
-            raise InvalidArgumentError(f"cut position {cut} is not inside any sequence")
-    return UnfoldedSpectrum(sequences)
 
 
 @dataclass(frozen=True)

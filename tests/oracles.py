@@ -98,6 +98,26 @@ def point_scatterer_roots_by_eigvalsh(k: np.ndarray, w: np.ndarray, coupling: fl
     return np.sqrt(lam[(lam > 0.0) & (lam <= k_max * k_max)])
 
 
+def secular_function_mp(k: np.ndarray, w: np.ndarray, coupling: float, dps: int = 60):
+    """h(E) = sum_n w_n [1/(E - E_n) + E_n/(1 + E_n^2)] - 1/coupling at ``dps`` digits.
+
+    E_n = k_n^2 is formed in mpmath; h decreases between consecutive poles,
+    so a root of the point-scatterer equation lies wherever h falls through 0.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        En = [mpmath.mpf(float(x)) ** 2 for x in k]
+        wn = [mpmath.mpf(float(x)) for x in w]
+        c = mpmath.fsum(a * e / (1 + e * e) for a, e in zip(wn, En)) - mpmath.mpf(1) / coupling
+
+    def h(E):
+        with mpmath.workdps(dps):
+            return mpmath.fsum(a / (E - e) for a, e in zip(wn, En)) + c
+
+    return h
+
+
 def _frozen_window_starts(seq: np.ndarray, L: float, stride: float) -> np.ndarray:
     span = seq[-1] - seq[0]
     if span <= L:

@@ -315,6 +315,11 @@ class TestWeylCount:
         with pytest.raises(InvalidArgumentError):
             fit_weyl_constant([], 1.0, 1.0)
 
+    def test_sector_weyl_params_empty_spectrum_rejected(self, sector):
+        # a given spectrum is always fitted, so an empty one raises as in fit_weyl_constant
+        with pytest.raises(InvalidArgumentError, match="empty"):
+            sector_weyl_params(sector, WavevectorSpectrum(np.empty(0)))
+
 
 class TestScattererValidation:
     def test_table_one_disk_fits(self, sector):

@@ -1,10 +1,12 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from billiardlab.billiard import (
     WavevectorSpectrum,
+    frequency_to_wavevector,
     mode_intensities_at,
     point_scatterer_spectrum,
     sector_eigenvalues,
@@ -12,7 +14,7 @@ from billiardlab.billiard import (
 from billiardlab import billiard
 from billiardlab.errors import InvalidArgumentError, NumericalError, QualityWarning
 
-from oracles import point_scatterer_roots_by_eigvalsh
+from oracles import point_scatterer_roots_by_eigvalsh, secular_function_mp
 
 SCATTERER_XY = (0.64, 0.40)  # one-disk setup position, metres
 
@@ -107,6 +109,52 @@ def test_tiny_intensity_gap_keeps_its_root(sector, base):
     )
     assert np.all(per_gap == 1)
     assert perturbed.size == 18
+
+
+# Near the apex the modes of high angular order barely reach the scatterer:
+# at this 4.6 GHz position, base to 2 k_max, 300 of 951 intensities fall
+# below rounding, down to ~1e-114, and solving for their roots raised
+# NumericalError.  Such levels are deflated: kept unshifted, out of the solve.
+APEX_XY = (0.2342 * math.cos(0.3491), 0.2342 * math.sin(0.3491))
+
+
+@pytest.fixture(scope="module")
+def apex(sector):
+    k_max = frequency_to_wavevector(4.6e9)
+    base = sector_eigenvalues(sector, 2.0 * k_max)
+    return base, mode_intensities_at(sector, base, *APEX_XY), k_max
+
+
+def test_intensities_below_rounding_are_deflated(apex):
+    base, w, k_max = apex
+    assert w.min() < 1e-100
+    got = point_scatterer_spectrum(base, w, 5.0, k_max).values
+    want = point_scatterer_roots_by_eigvalsh(base.values, w, 5.0, k_max)
+    assert got.size == want.size == np.sum(base.values <= k_max)
+    np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
+def test_deflated_gap_against_mpmath(apex):
+    # level 37 (w = 5.3e-24) is deflated; levels 35-36 and 38-39 are active.
+    # Between poles 35 and 39 the 60-digit secular function falls through 0
+    # within 1e-15 (relative, in E) of each reported level, and at pole 37
+    # that is the level kept unshifted.
+    base, w, k_max = apex
+    k = base.values
+    assert w[37] < 1e-22 and min(w[35], w[36], w[38], w[39]) > 1e-18
+    got = point_scatterer_spectrum(base, w, 5.0, k_max).values
+    levels = got[(got > k[35]) & (got < k[39])]
+    assert levels.size == 4 and np.count_nonzero(levels == k[37]) == 1
+    h = secular_function_mp(k, w, 5.0)
+    for q in levels:
+        with mpmath.workdps(60):
+            e, delta = mpmath.mpf(float(q)) ** 2, mpmath.mpf("1e-15")
+            below, above = h(e * (1 - delta)), h(e * (1 + delta))
+        if q == k[37]:
+            # h runs to -inf just below the pole and from +inf just above it
+            assert below > 0 or above < 0
+        else:
+            assert below > 0 > above
 
 
 def test_nonconvergence_raises(base, intensities, monkeypatch):

@@ -15,7 +15,7 @@ from billiardlab.reference import (
     spacing_ks,
     spacing_pdf,
 )
-from billiardlab.statistics import dyson_mehta, number_variance
+from billiardlab.statistics import cumulative_spacing, dyson_mehta, ks_distance, number_variance
 from billiardlab.unfolding import UnfoldedSpectrum
 
 from oracles import (
@@ -198,14 +198,21 @@ class TestSpacingKs:
     """spacing_ks through ks_distance against its own former formula."""
 
     @pytest.mark.parametrize("model", MODELS)
-    @pytest.mark.parametrize("rescale", [True, False])
-    def test_bitwise_frozen_and_ecdf_oracle(self, model, rescale):
+    def test_bitwise_frozen_and_ecdf_oracle(self, model):
         cdf = lambda s: spacing_cdf(model, s)
         for u in ks_inputs():
-            ks = spacing_ks(u, model, rescale=rescale)
-            assert ks == spacing_ks_frozen(u.spacings(), cdf, rescale)
-            s = u.spacings() / u.spacings().mean() if rescale else u.spacings()
-            assert ks == pytest.approx(ecdf_ks(s, cdf), abs=1e-15)
+            ks = spacing_ks(u, model)
+            assert ks == spacing_ks_frozen(u.spacings(), cdf)
+            assert ks == pytest.approx(ecdf_ks(u.spacings() / u.spacings().mean(), cdf), abs=1e-15)
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_unrescaled_through_public_path(self, model):
+        # the recipe in spacing_ks's docstring gives what rescale=False returned
+        cdf = lambda s: spacing_cdf(model, s)
+        for u in ks_inputs():
+            ks = ks_distance(cumulative_spacing(u), reference_curve(model, "I", np.sort(u.spacings())))
+            assert ks == spacing_ks_frozen(u.spacings(), cdf, rescale=False)
+            assert ks == pytest.approx(ecdf_ks(u.spacings(), cdf), abs=1e-15)
 
     def test_no_spacings_rejected(self):
         with pytest.raises(InvalidArgumentError, match="no spacings"):

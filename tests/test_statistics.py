@@ -291,14 +291,6 @@ class TestWindowSweep:
         lengths = np.array([7.0, 0.5, 20.0, 0.3, 0.5, 3.3, 44.0, 7.0])
         assert_sweep_matches_frozen(unequal_sequences(), lengths, stride_fraction)
 
-    def test_lengths_without_windows_in_some_sequences(self):
-        sequences = unequal_sequences()
-        sequences[1] = sequences[1][:25]
-        lengths = np.array([2.0, 30.0, 80.0, 150.0, 0.75])
-        spans = [seq[-1] - seq[0] for seq in sequences]
-        assert min(spans) < 30.0 and sorted(spans)[1] < 150.0
-        assert_sweep_matches_frozen(sequences, lengths, 0.25)
-
     @pytest.mark.parametrize("statistic", [number_variance, dyson_mehta])
     def test_unsorted_lengths_rejected_before_sweep(self, statistic, monkeypatch):
         def unreachable(*args):
@@ -308,15 +300,11 @@ class TestWindowSweep:
         with pytest.raises(InvalidArgumentError, match="ascending"):
             statistic(picket(100), [5.0, 2.0, 2.0])
 
-    def test_no_window_anywhere_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            _window_sums([np.arange(10.0)], np.array([2.0, 50.0]), 0.25, _sigma2_statistic)
-
     @pytest.mark.parametrize("statistic", [number_variance, dyson_mehta])
-    @pytest.mark.parametrize("lengths, stride_fraction", [([], 0.25), ([5.0], 0.0), ([5.0], -0.25)])
-    def test_invalid_windows_rejected(self, statistic, lengths, stride_fraction):
+    @pytest.mark.parametrize("lengths", [[], [0.0, 5.0], [-5.0]])
+    def test_invalid_windows_rejected(self, statistic, lengths):
         with pytest.raises(InvalidArgumentError):
-            statistic(picket(100), lengths, stride_fraction=stride_fraction)
+            statistic(picket(100), lengths)
 
     @pytest.mark.parametrize(
         "new, frozen", [(number_variance, number_variance_frozen), (dyson_mehta, dyson_mehta_frozen)]
@@ -334,6 +322,39 @@ class TestWindowSweep:
                 finally:
                     tracemalloc.stop()
         assert peaks[0] <= 1.25 * peaks[1]
+
+
+@st.composite
+def windowed_sequences(draw):
+    """1-4 Poisson sequences of 2-200 levels and up to 8 window lengths that
+    ``_window_lengths`` accepts: max(L) at most half the levels and below the span."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sizes = draw(st.lists(st.integers(2, 200), min_size=1, max_size=4))
+    sequences = [np.cumsum(rng.exponential(1.0, n)) for n in sizes]
+    limit = min(min(0.5 * seq.size, seq[-1] - seq[0]) for seq in sequences)
+    fractions = draw(st.lists(st.floats(0.05, 1.0, exclude_max=True), min_size=1, max_size=8))
+    return sequences, np.sort(limit * np.array(fractions))
+
+
+class TestWindowPolicy:
+    """Accepted lengths leave no L without a window, so the sweep needs no zero-window branch."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=windowed_sequences())
+    def test_accepted_lengths_window_every_sequence(self, case):
+        sequences, lengths = case
+        u = UnfoldedSpectrum(sequences)
+        assert np.array_equal(statistics._window_lengths(u, lengths), lengths)
+        for seq in sequences:
+            assert np.all(_window_sums([seq], lengths, statistics._STRIDE_FRACTION, _sigma2_statistic)[2] >= 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", QualityWarning)
+            s2 = number_variance(u, lengths)
+        d3 = dyson_mehta(u, lengths)
+        for curve, frozen in ((s2, number_variance_frozen), (d3, dyson_mehta_frozen)):
+            ordinate, n_windows = frozen(sequences, lengths)
+            assert np.array_equal(curve.ordinate, ordinate)
+            assert np.array_equal(curve.counts, n_windows)
 
 
 def quality_warnings(u):

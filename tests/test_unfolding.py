@@ -13,12 +13,7 @@ from billiardlab.billiard import (
     weyl_count,
 )
 from billiardlab.errors import InvalidArgumentError, QualityWarning
-from billiardlab.unfolding import (
-    UnfoldedSpectrum,
-    missing_level_scan,
-    split_sequences,
-    unfold,
-)
+from billiardlab.unfolding import UnfoldedSpectrum, missing_level_scan, unfold
 
 from oracles import missing_level_scan_frozen
 
@@ -61,34 +56,18 @@ class TestUnfold:
             unfold(sector_spectrum_46, bad)
 
 
-class TestSplitSequences:
-    def test_no_cuts_is_identity(self):
-        u = UnfoldedSpectrum([np.arange(1.0, 21.0)])
-        v = split_sequences(u, [])
-        assert len(v.sequences) == 1
-        np.testing.assert_array_equal(v.sequences[0], u.sequences[0])
+class TestUnfoldedSpectrum:
+    @pytest.mark.parametrize(
+        "sequences, match",
+        [([], "no sequences"), ([np.arange(5.0), np.array([1.0])], r"sequences\[1\].*no spacings")],
+    )
+    def test_spectrum_without_spacings_rejected(self, sequences, match):
+        with pytest.raises(InvalidArgumentError, match=match):
+            UnfoldedSpectrum(sequences)
 
-    def test_one_cut_preserves_levels_drops_one_spacing(self):
-        u = UnfoldedSpectrum([np.arange(1.0, 21.0)])
-        v = split_sequences(u, [10.5])
-        assert len(v.sequences) == 2
-        assert len(v) == len(u)
-        assert v.spacings().size == u.spacings().size - 1
-
-    def test_out_of_range_cut_rejected(self):
-        u = UnfoldedSpectrum([np.arange(1.0, 21.0)])
-        with pytest.raises(InvalidArgumentError):
-            split_sequences(u, [100.0])
-
-    def test_cut_at_missing_level_removes_spurious_spacing(self):
-        # delete one level from a picket fence; cutting at the reported gap
-        # restores the unit-spacing distribution exactly
-        levels = np.delete(np.arange(1.0, 101.0), 49)
-        u = UnfoldedSpectrum([levels])
-        spacings = u.spacings()
-        assert spacings.max() == pytest.approx(2.0)
-        v = split_sequences(u, [50.0])
-        np.testing.assert_allclose(v.spacings(), 1.0)
+    def test_one_level_spectrum_rejected_by_unfold(self):
+        with pytest.raises(InvalidArgumentError, match="no spacings"):
+            unfold(picket_wavevectors(1), PICKET_PARAMS)
 
 
 class TestMissingLevelScan:
