@@ -1,5 +1,8 @@
 import json
 import math
+import multiprocessing
+import threading
+import warnings
 from pathlib import Path
 
 import mpmath
@@ -164,6 +167,113 @@ class TestSectorEigenvalues:
             sector_eigenvalues(sector, -2.0)
 
 
+def _bessel_next_errors(geom, spectrum, levels):
+    """Relative errors of ``bessel_next`` against mpmath J_{order+1}(k R) at 30 digits."""
+    with mpmath.workdps(30):
+        errors = []
+        for i in levels:
+            order = spectrum.labels[i][0] * mpmath.pi / geom.angle
+            exact = mpmath.besselj(order + 1, mpmath.mpf(spectrum.values[i]) * geom.radius)
+            errors.append(float(abs((spectrum.bessel_next[i] - exact) / exact)))
+    return np.array(errors)
+
+
+class TestBesselNext:
+    # bessel_next comes from a Taylor step off the last Halley point, not from jv
+    # at the zero; measured: within 1.3e-13 (20 GHz base) and 6.6e-14 (orders 2.5 m)
+
+    def test_20_ghz_base_against_mpmath(self, sector):
+        spec = sector_eigenvalues(sector, 2.0 * frequency_to_wavevector(20e9))
+        levels = np.random.default_rng(7).choice(len(spec), 40, replace=False)
+        assert np.max(_bessel_next_errors(sector, spec, levels)) < 1e-12
+
+    def test_non_integer_orders_against_mpmath(self):
+        geom = SectorGeometry(radius=1.0, angle=2.0 * math.pi / 5.0)
+        spec = sector_eigenvalues(geom, 300.0)
+        levels = np.random.default_rng(8).choice(len(spec), 40, replace=False)
+        assert np.max(_bessel_next_errors(geom, spec, levels)) < 1e-12
+
+
+def _counting_jv(monkeypatch):
+    """Replace billiard.jv by scipy's jv with a lock-guarded record of every call's element count."""
+    sizes, lock = [], threading.Lock()
+
+    def counted(v, x, *args, **kwargs):
+        with lock:
+            sizes.append(x.size)
+        return jv(v, x, *args, **kwargs)
+
+    monkeypatch.setattr(billiard, "jv", counted)
+    return sizes
+
+
+class TestJvSplit:
+    @pytest.fixture(autouse=True)
+    def own_pool(self, monkeypatch):
+        # a pool made under a patched CPU count is dropped after the test
+        monkeypatch.setattr(billiard, "_jv_pool", None)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "size", [0, 1, billiard._JV_SPLIT_MIN - 1, billiard._JV_SPLIT_MIN, billiard._JV_SPLIT_MIN + 1, 18583]
+    )
+    def test_bitwise_equal_to_one_call(self, monkeypatch, cpus, size):
+        monkeypatch.setattr(billiard, "_cpu_count", lambda: cpus)
+        rng = np.random.default_rng(size)
+        v, x = rng.uniform(0.0, 300.0, size), rng.uniform(0.0, 700.0, size)
+        got = billiard._jv(v, x)
+        assert got.shape == (size,) and got.tobytes() == jv(v, x).tobytes()
+        # one CPU, or fewer elements than the split threshold, starts no thread
+        assert (billiard._jv_pool is None) == (cpus == 1 or size < billiard._JV_SPLIT_MIN)
+
+    def test_broadcast_shape_of_mode_amplitudes(self, monkeypatch):
+        monkeypatch.setattr(billiard, "_cpu_count", lambda: 2)
+        rng = np.random.default_rng(1)
+        orders, x = 3.0 * np.arange(1, 1001), rng.uniform(0.0, 700.0, (7, 1000))
+        got = billiard._jv(orders, x)
+        assert got.shape == (7, 1000) and got.tobytes() == jv(orders, x).tobytes()
+
+    def test_every_element_counted_once(self, sector, monkeypatch):
+        # a wrapper on billiard.jv (the benchmark's tracer) counts 2 elements per
+        # Halley evaluation and P*N for the modes, however the calls are split
+        geom, k_max = sector, frequency_to_wavevector(20e9)
+        points = ([0.64, 0.2], [0.40, 0.1])
+        monkeypatch.setattr(billiard, "_cpu_count", lambda: 1)
+        whole = _counting_jv(monkeypatch)
+        spec = sector_eigenvalues(geom, k_max)
+        n_zeros = len(whole)
+        mode_amplitudes(geom, spec, *points)
+        # unsplit, every call is J_nu or J_{nu+1} of one Halley step, in pairs
+        assert n_zeros % 2 == 0 and whole[:n_zeros:2] == whole[1:n_zeros:2]
+        assert whole[n_zeros:] == [2 * len(spec)]
+
+        monkeypatch.setattr(billiard, "_cpu_count", lambda: 3)
+        split = _counting_jv(monkeypatch)
+        assert sector_eigenvalues(geom, k_max).values.tobytes() == spec.values.tobytes()
+        mode_amplitudes(geom, spec, *points)
+        assert len(split) > len(whole) and sum(split) == sum(whole)
+
+    def test_forked_child_after_parent_split(self, sector, monkeypatch):
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("no fork start method on this platform")
+        monkeypatch.setattr(billiard, "_cpu_count", lambda: 2)
+        k_max = frequency_to_wavevector(20e9)
+        expected = len(sector_eigenvalues(sector, k_max))
+        assert billiard._jv_pool is not None
+        ctx = multiprocessing.get_context("fork")
+        queue = ctx.Queue()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)  # fork of a threaded process
+            child = ctx.Process(target=lambda: queue.put(len(sector_eigenvalues(sector, k_max))))
+            child.start()
+        child.join(30.0)
+        if child.is_alive():
+            child.kill()
+            child.join()
+            pytest.fail("forked child hung in sector_eigenvalues")
+        assert child.exitcode == 0 and queue.get(timeout=5.0) == expected
+
+
 def _modes(spectrum, *labels):
     """The levels of ``spectrum`` with the given (m, nu) labels, in ascending order."""
     idx = [spectrum.labels.index(label) for label in labels]
@@ -184,7 +294,7 @@ def _amplitude_mpmath(geom, m, k, x, y):
     """psi_{m,nu}(x, y) from mpmath J_order and J_{order+1} at the level's k."""
     with mpmath.workdps(30):
         order = m * mpmath.pi / geom.angle
-        r, phi = mpmath.hypot(x, y), mpmath.atan2(y, x)
+        r, phi = mpmath.hypot(x, y), mpmath.atan2(y, x) % (2 * mpmath.pi)
         norm = mpmath.sqrt(geom.angle / 4) * geom.radius * abs(mpmath.besselj(order + 1, k * geom.radius))
         return float(mpmath.sin(order * phi) * mpmath.besselj(order, k * r) / norm)
 
@@ -282,6 +392,17 @@ class TestWavefunction:
         with pytest.raises(InvalidArgumentError, match="closed sector"):
             mode_amplitudes(sector, sector_spectrum_46, [0.64, r * math.cos(phi)], [0.40, r * math.sin(phi)])
 
+    def test_sector_wider_than_pi(self):
+        # at phi = 4 > pi, arctan2 returns phi - 2 pi; the point is interior
+        geom = SectorGeometry(radius=1.0, angle=1.5 * math.pi)
+        spec = sector_eigenvalues(geom, 40.0)
+        x, y = 0.5 * math.cos(4.0), 0.5 * math.sin(4.0)
+        levels = range(0, len(spec), 10)
+        expected = [_amplitude_mpmath(geom, spec.labels[i][0], spec.values[i], x, y) for i in levels]
+        amp = mode_amplitudes(geom, spec, x, y)
+        np.testing.assert_allclose(amp[0, levels], expected, rtol=1e-12, atol=0.0)
+        np.testing.assert_array_equal(mode_intensities_at(geom, spec, x, y), amp[0] ** 2)
+
     def test_amplitudes_need_labels_and_bessel_next(self, sector, sector_spectrum_46):
         spec = sector_spectrum_46
         for partial in (
@@ -338,3 +459,12 @@ class TestScattererValidation:
         b = DiskScatterer((0.51, 0.2), 0.02)
         with pytest.raises(InvalidArgumentError):
             validate_scatterers(sector, [a, b])
+
+    def test_sector_wider_than_pi(self):
+        geom = SectorGeometry(radius=1.0, angle=1.5 * math.pi)
+        validate_scatterers(geom, [DiskScatterer((0.5 * math.cos(4.0), 0.5 * math.sin(4.0)), 0.05)])
+        # (-0.5, 0) is on the line of the lower edge, but the edge is the ray x >= 0
+        validate_scatterers(geom, [DiskScatterer((-0.5, 0.0), 0.05)])
+        with pytest.raises(InvalidArgumentError, match="strictly inside"):
+            # 6 mm from the upper edge, the ray phi = 1.5 pi
+            validate_scatterers(geom, [DiskScatterer((0.5 * math.cos(4.7), 0.5 * math.sin(4.7)), 0.02)])
