@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 import warnings
 from dataclasses import dataclass, field
 
@@ -160,26 +159,26 @@ class WeylParams:
 
 
 # ----------------------------------------------------------------------
-# Work on the process's CPUs
+# Bessel zeros
 # ----------------------------------------------------------------------
 
-# A job that spans at least this many elements (a jv call's broadcast
-# elements, a secular solve's active poles) runs on every CPU of the process:
-# the calling thread and a lazily created pool of the other CPUs' threads
-# share its items.  Below it, or on one CPU, the calling thread runs it alone,
-# so the 951-level paper band starts no thread.  jv and the numpy array
-# operations of the secular solve's far sums release the GIL.
+_HALLEY_MAX_ITER = 8
+_EPS = np.finfo(float).eps
+
+# jv releases the GIL: a call with at least this many elements is split into
+# one contiguous chunk per CPU of the process, evaluated by the calling thread
+# and a lazily created pool of the other threads
 _JV_SPLIT_MIN = 4096
-_pool = None  # a concurrent.futures.ThreadPoolExecutor, made on first use
+_jv_pool = None  # a concurrent.futures.ThreadPoolExecutor, made on first use
 
 
-def _forget_pool() -> None:
-    global _pool
-    _pool = None
+def _forget_jv_pool() -> None:
+    global _jv_pool
+    _jv_pool = None
 
 
 if hasattr(os, "register_at_fork"):  # a forked child has none of the parent's pool threads
-    os.register_at_fork(after_in_child=_forget_pool)
+    os.register_at_fork(after_in_child=_forget_jv_pool)
 
 
 def _cpu_count() -> int:
@@ -189,69 +188,21 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def _threads(size: int) -> int:
-    """Threads for a job that spans ``size`` elements (see ``_JV_SPLIT_MIN``)."""
-    return _cpu_count() if size >= _JV_SPLIT_MIN else 1
-
-
-def _on_threads(fn, count: int, threads: int) -> list:
-    """[fn(0), ..., fn(count - 1)] on ``threads`` threads, the calling one among them.
-
-    The threads take the items in ascending order.  If items raise, the
-    exception of the lowest-numbered one propagates, as on one thread, so
-    it does not depend on the scheduling.  ``fn`` must not split work
-    itself: a pool thread would wait for its own queue.
-    """
-    global _pool
-    if threads < 2 or count < 2:
-        return [fn(i) for i in range(count)]
-    if _pool is None:
-        from concurrent.futures import ThreadPoolExecutor
-
-        _pool = ThreadPoolExecutor(threads - 1, thread_name_prefix="billiardlab")
-    results, errors = [None] * count, {}
-    items, lock = iter(range(count)), threading.Lock()
-
-    def work() -> None:
-        # every item below a failed one was taken before it and still finishes
-        while not errors:
-            with lock:
-                i = next(items, count)
-            if i == count:
-                return
-            try:
-                results[i] = fn(i)
-            except Exception as exc:
-                errors[i] = exc
-
-    others = [_pool.submit(work) for _ in range(threads - 1)]
-    work()
-    for f in others:
-        f.result()
-    if errors:
-        raise errors[min(errors)]
-    return results
-
-
-# ----------------------------------------------------------------------
-# Bessel zeros
-# ----------------------------------------------------------------------
-
-_HALLEY_MAX_ITER = 8
-_EPS = np.finfo(float).eps
-
-
 def _jv(v, x) -> np.ndarray:
     """jv(v, x) on the broadcast arguments, bitwise equal to one call.
 
-    A large call is cut into one contiguous chunk per thread (see
-    ``_threads``).  Every chunk calls the module name ``jv``, so a wrapper
-    installed there sees each element once.
+    Every chunk calls the module name ``jv``, so a wrapper installed there
+    sees each element once.
     """
+    global _jv_pool
     v, x = np.broadcast_arrays(v, x)
-    n = _threads(x.size)
-    if n < 2:
+    n = _cpu_count()
+    if x.size < _JV_SPLIT_MIN or n < 2:
         return jv(v, x)
+    if _jv_pool is None:
+        from concurrent.futures import ThreadPoolExecutor
+
+        _jv_pool = ThreadPoolExecutor(n - 1, thread_name_prefix="billiardlab-jv")
     out = np.empty(x.shape)
     v, x, flat = v.ravel(), x.ravel(), out.reshape(-1)
     bounds = np.linspace(0, x.size, n + 1).astype(np.intp)
@@ -260,7 +211,10 @@ def _jv(v, x) -> np.ndarray:
         lo, hi = bounds[i], bounds[i + 1]
         jv(v[lo:hi], x[lo:hi], out=flat[lo:hi])
 
-    _on_threads(chunk, n, n)
+    others = [_jv_pool.submit(chunk, i) for i in range(1, n)]
+    chunk(0)
+    for f in others:
+        f.result()
     return out
 
 
@@ -506,8 +460,8 @@ def sector_weyl_params(
 # degree through its values at Chebyshev points to reach rounding level.
 # Groups of blocks take the poles beyond one group length in the same way,
 # so a block sums the rest of its group's window directly.  The far poles
-# are summed a chunk at a time, which bounds the temporaries of every block
-# in flight to a (nodes x chunk) array.
+# are summed a chunk at a time, which bounds the temporaries to a
+# (nodes x chunk) array.
 _BLOCK_GAPS = 64
 _GROUP_BLOCKS = 8
 _FAR_DEGREE = 24
@@ -562,26 +516,21 @@ def _far_sums(E, w, n0: int, n1: int, at: np.ndarray) -> np.ndarray:
 
 def _blocks(E, w, n_gaps: int) -> list[tuple]:
     """(n0, n1, centre, half, far) of every block of the first ``n_gaps`` gaps
-    (see ``_block_sums``), on the process's CPUs from ``_JV_SPLIT_MIN`` poles on."""
-    threads = _threads(E.size)
+    (see ``_block_sums``)."""
     span = _GROUP_BLOCKS * _BLOCK_GAPS
-
-    def group(j: int) -> tuple:
-        n0, n1, centre, half = _window(E, j * span, min((j + 1) * span, n_gaps), span)
-        return n0, n1, centre, half, _far_sums(E, w, n0, n1, centre + half * _NODES)
-
-    groups = _on_threads(group, -(-n_gaps // span), threads)
-
-    def block(b: int) -> tuple:
+    groups = []
+    for g0 in range(0, n_gaps, span):
+        m0, m1, c, h = _window(E, g0, min(g0 + span, n_gaps), span)
+        groups.append((m0, m1, c, h, _far_sums(E, w, m0, m1, c + h * _NODES)))
+    blocks = []
+    for g0 in range(0, n_gaps, _BLOCK_GAPS):
         # the group's far sums, interpolated, and the rest of the group's window
-        g0 = b * _BLOCK_GAPS
         n0, n1, centre, half = _window(E, g0, min(g0 + _BLOCK_GAPS, n_gaps), _BLOCK_GAPS)
-        m0, m1, c, h, table = groups[b // _GROUP_BLOCKS]
+        m0, m1, c, h, table = groups[g0 // span]
         at = centre + half * _NODES
         far = _barycentric((at - c) / h, table) + _far_sums(E[m0:m1], w[m0:m1], n0 - m0, n1 - m0, at)
-        return n0, n1, centre, half, far
-
-    return _on_threads(block, -(-n_gaps // _BLOCK_GAPS), threads)
+        blocks.append((n0, n1, centre, half, far))
+    return blocks
 
 
 def _block_sums(E, w, block, gaps, origin, t):
@@ -637,13 +586,10 @@ def _secular_roots(E, w, shift: float, n_gaps: int) -> tuple[np.ndarray, np.ndar
     measured from.  The model's root lies inside the gap; a step that
     leaves the bracket set by the signs of f seen so far bisects instead.
 
-    With at least ``_JV_SPLIT_MIN`` poles the groups' and the blocks' far
-    sums run on the process's CPUs (see ``_on_threads``); each is the same
-    arithmetic on any thread, so the roots are bitwise equal to a
-    one-thread solve.  The steps run on the calling thread: their numpy
-    calls are short (a block's gaps times its 193 poles), and on two
-    threads the interpreter lock changing hands at every call made them
-    slower than on one.
+    The solve runs on the calling thread.  Its numpy calls are short (a
+    block's gaps times its 193 poles, a far table's 25 points times 2048
+    poles), and on two threads the interpreter lock changing hands at every
+    call gained nothing measurable.
     """
     blocks = _blocks(E, w, n_gaps)
     n_blocks = len(blocks)
@@ -749,12 +695,9 @@ def point_scatterer_spectrum(
     two-pole rational ("middle way") steps in coordinates centred on its
     nearer pole until the step is at rounding level.  Roots come out to a
     few ulps, also when a tiny intensity puts a root next to its pole.
-    With 4096 or more active poles the far sums run on the CPUs the process
-    may run on, with roots bitwise equal to a one-thread solve; the
-    951-level base of the 4.6 GHz band starts no thread.  As in LAPACK
-    ``dlaed2``, a level is deflated, i.e. left out of the solve and kept
-    unshifted, when sqrt(w_n) <= 8 eps max(E_max, sqrt(max w)), E_max the
-    largest base E_n.
+    The solve starts no thread.  As in LAPACK ``dlaed2``, a level is
+    deflated, i.e. left out of the solve and kept unshifted, when
+    sqrt(w_n) <= 8 eps max(E_max, sqrt(max w)), E_max the largest base E_n.
 
     The truncation of the base is not negligible: for the 60-degree,
     R = 0.8 m sector up to 4.6 GHz at coupling 5, a base to 2*k_max

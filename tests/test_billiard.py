@@ -1,9 +1,7 @@
 import json
 import math
 import multiprocessing
-import sys
 import threading
-import time
 import warnings
 from pathlib import Path
 
@@ -213,7 +211,7 @@ class TestJvSplit:
     @pytest.fixture(autouse=True)
     def own_pool(self, monkeypatch):
         # a pool made under a patched CPU count is dropped after the test
-        monkeypatch.setattr(billiard, "_pool", None)
+        monkeypatch.setattr(billiard, "_jv_pool", None)
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     @pytest.mark.parametrize(
@@ -226,7 +224,7 @@ class TestJvSplit:
         got = billiard._jv(v, x)
         assert got.shape == (size,) and got.tobytes() == jv(v, x).tobytes()
         # one CPU, or fewer elements than the split threshold, starts no thread
-        assert (billiard._pool is None) == (cpus == 1 or size < billiard._JV_SPLIT_MIN)
+        assert (billiard._jv_pool is None) == (cpus == 1 or size < billiard._JV_SPLIT_MIN)
 
     def test_broadcast_shape_of_mode_amplitudes(self, monkeypatch):
         monkeypatch.setattr(billiard, "_cpu_count", lambda: 2)
@@ -255,38 +253,13 @@ class TestJvSplit:
         mode_amplitudes(geom, spec, *points)
         assert len(split) > len(whole) and sum(split) == sum(whole)
 
-    @pytest.mark.parametrize("threads", [1, 2, 3])
-    def test_lowest_failing_item_raises(self, threads):
-        # items come back in order; item 5 fails first in time, but item 3, taken
-        # before it and still running, is the one that raises
-        def item(i):
-            time.sleep(0.05 if i == 3 else 0.002)
-            if i in (3, 5, 9):
-                raise ValueError(i)
-            return i * i
-
-        assert billiard._on_threads(item, 3, threads) == [0, 1, 4]
-        with pytest.raises(ValueError, match="^3$"):
-            billiard._on_threads(item, 12, threads)
-
-    def test_every_item_runs_once_under_contention(self):
-        # more threads than cores and a short switch interval: a lost update on the
-        # shared item counter would run an item twice or skip one
-        calls, interval = [], sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            got = billiard._on_threads(lambda i: calls.append(i) or i, 3000, 5)
-        finally:
-            sys.setswitchinterval(interval)
-        assert got == list(range(3000)) and sorted(calls) == got
-
     def test_forked_child_after_parent_split(self, sector, monkeypatch):
         if "fork" not in multiprocessing.get_all_start_methods():
             pytest.skip("no fork start method on this platform")
         monkeypatch.setattr(billiard, "_cpu_count", lambda: 2)
         k_max = frequency_to_wavevector(20e9)
         expected = len(sector_eigenvalues(sector, k_max))
-        assert billiard._pool is not None
+        assert billiard._jv_pool is not None
         ctx = multiprocessing.get_context("fork")
         queue = ctx.Queue()
         with warnings.catch_warnings():
