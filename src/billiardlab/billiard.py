@@ -22,7 +22,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ai_zeros, jv
+from scipy.special import ai_zeros, hankel1, jv
 
 from .errors import InvalidArgumentError, NumericalError, QualityWarning
 from .validation import as_float_array, check_ascending, check_positive
@@ -165,20 +165,20 @@ class WeylParams:
 _HALLEY_MAX_ITER = 8
 _EPS = np.finfo(float).eps
 
-# jv releases the GIL: a call with at least this many elements is split into
-# one contiguous chunk per CPU of the process, evaluated by the calling thread
-# and a lazily created pool of the other threads
-_JV_SPLIT_MIN = 4096
-_jv_pool = None  # a concurrent.futures.ThreadPoolExecutor, made on first use
+# jv and hankel1 release the GIL: a call with at least this many elements is
+# split into one contiguous chunk per CPU of the process, evaluated by the
+# calling thread and a lazily created pool of the other threads
+_BESSEL_SPLIT_MIN = 4096
+_bessel_pool = None  # a concurrent.futures.ThreadPoolExecutor, made on first use
 
 
-def _forget_jv_pool() -> None:
-    global _jv_pool
-    _jv_pool = None
+def _forget_bessel_pool() -> None:
+    global _bessel_pool
+    _bessel_pool = None
 
 
 if hasattr(os, "register_at_fork"):  # a forked child has none of the parent's pool threads
-    os.register_at_fork(after_in_child=_forget_jv_pool)
+    os.register_at_fork(after_in_child=_forget_bessel_pool)
 
 
 def _cpu_count() -> int:
@@ -188,30 +188,30 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def _jv(v, x) -> np.ndarray:
-    """jv(v, x) on the broadcast arguments, bitwise equal to one call.
+def _bessel(name: str, v, x, out: np.ndarray) -> np.ndarray:
+    """The module-level ufunc ``name`` (``jv`` or ``hankel1``) at the broadcast
+    arguments, written into the contiguous ``out`` bitwise equal to one call.
 
-    Every chunk calls the module name ``jv``, so a wrapper installed there
-    sees each element once.
+    Every chunk calls the module name, so a wrapper installed there sees
+    each element once.
     """
-    global _jv_pool
+    global _bessel_pool
     v, x = np.broadcast_arrays(v, x)
     n = _cpu_count()
-    if x.size < _JV_SPLIT_MIN or n < 2:
-        return jv(v, x)
-    if _jv_pool is None:
+    if x.size < _BESSEL_SPLIT_MIN or n < 2:
+        return globals()[name](v, x, out=out)
+    if _bessel_pool is None:
         from concurrent.futures import ThreadPoolExecutor
 
-        _jv_pool = ThreadPoolExecutor(n - 1, thread_name_prefix="billiardlab-jv")
-    out = np.empty(x.shape)
+        _bessel_pool = ThreadPoolExecutor(n - 1, thread_name_prefix="billiardlab-bessel")
     v, x, flat = v.ravel(), x.ravel(), out.reshape(-1)
     bounds = np.linspace(0, x.size, n + 1).astype(np.intp)
 
     def chunk(i: int) -> None:
         lo, hi = bounds[i], bounds[i + 1]
-        jv(v[lo:hi], x[lo:hi], out=flat[lo:hi])
+        globals()[name](v[lo:hi], x[lo:hi], out=flat[lo:hi])
 
-    others = [_jv_pool.submit(chunk, i) for i in range(1, n)]
+    others = [_bessel_pool.submit(chunk, i) for i in range(1, n)]
     chunk(0)
     for f in others:
         f.result()
@@ -256,25 +256,36 @@ def _bessel_zeros(nu: np.ndarray, s: np.ndarray, reach: float = math.inf):
     ``_HALLEY_MAX_ITER`` steps, or when an order's zeros are not ascending
     more than pi/2 apart (a seed converged to its neighbour's zero).
 
+    Each step takes J_nu(x) and J_{nu+1}(x) as the real parts of
+    ``hankel1`` (DLMF 10.4.3), which AMOS ``zbesh`` evaluates about three
+    times faster than ``jv``; both calls run on the process's CPUs (see
+    ``_bessel``).  The real part keeps J_nu to working accuracy only above
+    the turning point, x > nu, where every zero lies: below it J_nu is far
+    smaller than |Y_nu|, and rounding of H^(1) swamps it.
+
     J_{nu+1} at a zero is not evaluated again: it is the Taylor polynomial
     of degree 3 about the last Halley point x, built from that step's
     J_nu(x) and J_{nu+1}(x) with J'_mu = J_{mu-1} - (mu/x) J_mu and the
     higher derivatives from Bessel's equation.  The last step is below
     (6 eps z)^(1/3), so the omitted term is far below rounding.  Against
-    mpmath ``besselj`` the result is as close as ``jv`` at the zero (tests:
-    rtol 1e-12; measured: within 1.3e-13 up to kR = 670).  Each step's two
-    ``jv`` calls run on the process's CPUs (see ``_jv``).
+    mpmath ``besselj`` the result is as close as a Bessel function
+    evaluated at the zero (tests: rtol 1e-12 on samples, 1e-14 at three
+    far-field levels of the 20 GHz base; measured: within 2.4e-13 up to
+    kR = 670, the largest errors at x - nu of about 70, near the turning
+    point).
     """
     z = _zero_seeds(nu, s)
     keep = z <= reach
     nu, s, z = nu[keep], s[keep], z[keep]
     # the last Halley point of each entry, with J_nu and J_{nu+1} there
     at, j0, j1 = np.empty(z.size), np.empty(z.size), np.empty(z.size)
+    hankel = np.empty(z.size, complex)  # H^(1)_nu, then H^(1)_{nu+1}, of one step
     todo, steps = np.arange(z.size), 0
     while todo.size and steps < _HALLEY_MAX_ITER:
         steps += 1
         v, x = nu[todo], z[todo]
-        f, g = _jv(v, x), _jv(v + 1.0, x)
+        f = _bessel("hankel1", v, x, hankel[: todo.size]).real.copy()
+        g = _bessel("hankel1", v + 1.0, x, hankel[: todo.size]).real
         at[todo], j0[todo], j1[todo] = x, f, g
         d1 = v / x * f - g
         h = f / d1
@@ -333,10 +344,10 @@ def sector_eigenvalues(geom: SectorGeometry, k_max: float) -> WavevectorSpectrum
     zeros of all orders are refined together from asymptotic seeds (see
     ``_bessel_zeros``); the tests compare them with ``mpmath.besseljzero``
     at rtol 1e-13 for the orders 2.5 m up to kR = 60 (measured: within
-    2.2e-16).  The spectrum keeps J_{order+1}(k R) as ``bessel_next``, taken
+    5.6e-16).  The spectrum keeps J_{order+1}(k R) as ``bessel_next``, taken
     from each zero's last Halley step by a Taylor step rather than a further
-    ``jv`` call; the tests compare it with mpmath at rtol 1e-12 (measured:
-    within 1.3e-13 up to kR = 670).  Large ``jv`` calls are split over the
+    Bessel call; the tests compare it with mpmath at rtol 1e-12 (measured:
+    within 2.4e-13 up to kR = 670).  Large Bessel calls are split over the
     CPUs the process may run on, with results bitwise equal to one call.
     """
     k_max = check_positive(k_max, "k_max")
@@ -380,7 +391,8 @@ def mode_amplitudes(geom: SectorGeometry, spectrum: WavevectorSpectrum, x, y) ->
     if not np.all((r <= geom.radius * (1.0 + 1e-12)) & (phi >= 0.0) & (phi <= geom.angle)):
         raise InvalidArgumentError("points must lie in the closed sector")
     orders = np.array([m for m, _ in spectrum.labels], dtype=float) * math.pi / geom.angle
-    amp = np.sin(orders * phi) * _jv(orders, spectrum.values * r)
+    kr = spectrum.values * r
+    amp = np.sin(orders * phi) * _bessel("jv", orders, kr, np.empty(kr.shape))
     return amp / np.sqrt(_mode_norm(geom, spectrum.bessel_next))
 
 

@@ -13,6 +13,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtr, ndtri
 
 from .errors import InvalidArgumentError, QualityWarning
 from .unfolding import UnfoldedSpectrum
@@ -151,9 +152,12 @@ def number_variance(u: UnfoldedSpectrum, lengths) -> StatCurve:
     Windows of length L slide in steps of L/4 within each sequence, which
     must span more than max(L); window results are pooled across sequences
     with equal weight per window.  One :class:`QualityWarning` names every L whose mean
-    count is off L by more than 5% of L and more than three standard errors,
+    count is off L by more than 5% of L and more than z standard errors,
     sqrt(var(N) L / span) with span summed over the sequences (windows of one
     L are independent about once per L): correct spans, off by sqrt(levels), pass.
+    z is Bonferroni's bound for the K lengths, -ndtri(ndtr(-3) / K), 3 for one
+    length and 4.0 for 40, so a whole call warns on a correct sequence about
+    as often as one two-sided 3-sigma test, 0.27% of the time.
     """
     lengths = _window_lengths(u, lengths)
     sq_sums, count_sums, n_windows = _window_sums(u.sequences, lengths, _STRIDE_FRACTION, _sigma2_statistic)
@@ -161,10 +165,11 @@ def number_variance(u: UnfoldedSpectrum, lengths) -> StatCurve:
     deviation = np.abs(count_sums / n_windows - lengths)
     span = sum(seq[-1] - seq[0] for seq in u.sequences)
     standard_error = np.sqrt(np.maximum(curve.ordinate - deviation**2, 0.0) * lengths / span)
-    bad = (deviation > 0.05 * lengths) & (deviation > 3.0 * standard_error)
+    z = -ndtri(ndtr(-3.0) / lengths.size)
+    bad = (deviation > 0.05 * lengths) & (deviation > z * standard_error)
     if np.any(bad):
         named = ", ".join(f"{L:g}" for L in lengths[bad])
-        message = f"mean window count deviates from L by more than 5% and 3 standard errors at L = {named}"
+        message = f"mean window count deviates from L by more than 5% and {z:.2g} standard errors at L = {named}"
         warnings.warn(message, QualityWarning, stacklevel=2)
     return curve
 

@@ -8,6 +8,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
+from scipy import special
 from scipy.special import jv
 
 from billiardlab import billiard
@@ -179,13 +180,26 @@ def _bessel_next_errors(geom, spectrum, levels):
 
 
 class TestBesselNext:
-    # bessel_next comes from a Taylor step off the last Halley point, not from jv
-    # at the zero; measured: within 1.3e-13 (20 GHz base) and 6.6e-14 (orders 2.5 m)
+    # bessel_next comes from a Taylor step off the last Halley point, not from a
+    # Bessel call at the zero; measured: within 8.8e-14 (20 GHz base) and 3.3e-14
+    # (orders 2.5 m) on these samples
 
     def test_20_ghz_base_against_mpmath(self, sector):
         spec = sector_eigenvalues(sector, 2.0 * frequency_to_wavevector(20e9))
         levels = np.random.default_rng(7).choice(len(spec), 40, replace=False)
         assert np.max(_bessel_next_errors(sector, spec, levels)) < 1e-12
+
+    def test_20_ghz_base_worst_entries_against_mpmath(self, sector):
+        # where J_{nu+1} from jv at the last Halley point was 3e-13 off; mpmath
+        # takes k R rounded to double, the zero the Taylor step aims at, since
+        # one ulp of k R moves J_{nu+1} by up to 1.3e-14 here (measured: 2.8e-16)
+        spec = sector_eigenvalues(sector, 2.0 * frequency_to_wavevector(20e9))
+        with mpmath.workdps(40):
+            for label in [(20, 138), (21, 178), (23, 167)]:
+                i = spec.labels.index(label)
+                kr = float(spec.values[i] * sector.radius)
+                exact = mpmath.besselj(3 * label[0] + 1, kr)
+                assert abs(spec.bessel_next[i] / exact - 1) < 1e-14
 
     def test_non_integer_orders_against_mpmath(self):
         geom = SectorGeometry(radius=1.0, angle=2.0 * math.pi / 5.0)
@@ -194,64 +208,75 @@ class TestBesselNext:
         assert np.max(_bessel_next_errors(geom, spec, levels)) < 1e-12
 
 
-def _counting_jv(monkeypatch):
-    """Replace billiard.jv by scipy's jv with a lock-guarded record of every call's element count."""
-    sizes, lock = [], threading.Lock()
+def _counting(monkeypatch, name):
+    """Replace billiard's module-level ``name`` (``jv`` or ``hankel1``) by the scipy
+    ufunc with a lock-guarded record of every call's element count."""
+    real, sizes, lock = getattr(special, name), [], threading.Lock()
 
     def counted(v, x, *args, **kwargs):
         with lock:
             sizes.append(x.size)
-        return jv(v, x, *args, **kwargs)
+        return real(v, x, *args, **kwargs)
 
-    monkeypatch.setattr(billiard, "jv", counted)
+    monkeypatch.setattr(billiard, name, counted)
     return sizes
 
 
 class TestJvSplit:
+    # the split helper _bessel serves jv (mode amplitudes) and hankel1 (zeros)
+    UFUNCS = {"jv": float, "hankel1": complex}
+
     @pytest.fixture(autouse=True)
     def own_pool(self, monkeypatch):
         # a pool made under a patched CPU count is dropped after the test
-        monkeypatch.setattr(billiard, "_jv_pool", None)
+        monkeypatch.setattr(billiard, "_bessel_pool", None)
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     @pytest.mark.parametrize(
-        "size", [0, 1, billiard._JV_SPLIT_MIN - 1, billiard._JV_SPLIT_MIN, billiard._JV_SPLIT_MIN + 1, 18583]
+        "size",
+        [0, 1, billiard._BESSEL_SPLIT_MIN - 1, billiard._BESSEL_SPLIT_MIN, billiard._BESSEL_SPLIT_MIN + 1, 18583],
     )
     def test_bitwise_equal_to_one_call(self, monkeypatch, cpus, size):
         monkeypatch.setattr(billiard, "_cpu_count", lambda: cpus)
         rng = np.random.default_rng(size)
         v, x = rng.uniform(0.0, 300.0, size), rng.uniform(0.0, 700.0, size)
-        got = billiard._jv(v, x)
-        assert got.shape == (size,) and got.tobytes() == jv(v, x).tobytes()
-        # one CPU, or fewer elements than the split threshold, starts no thread
-        assert (billiard._jv_pool is None) == (cpus == 1 or size < billiard._JV_SPLIT_MIN)
+        for name, dtype in self.UFUNCS.items():
+            monkeypatch.setattr(billiard, "_bessel_pool", None)
+            got = billiard._bessel(name, v, x, np.empty(size, dtype))
+            assert got.shape == (size,) and got.tobytes() == getattr(special, name)(v, x).tobytes()
+            # one CPU, or fewer elements than the split threshold, starts no thread
+            assert (billiard._bessel_pool is None) == (cpus == 1 or size < billiard._BESSEL_SPLIT_MIN)
 
     def test_broadcast_shape_of_mode_amplitudes(self, monkeypatch):
         monkeypatch.setattr(billiard, "_cpu_count", lambda: 2)
         rng = np.random.default_rng(1)
         orders, x = 3.0 * np.arange(1, 1001), rng.uniform(0.0, 700.0, (7, 1000))
-        got = billiard._jv(orders, x)
-        assert got.shape == (7, 1000) and got.tobytes() == jv(orders, x).tobytes()
+        for name, dtype in self.UFUNCS.items():
+            got = billiard._bessel(name, orders, x, np.empty(x.shape, dtype))
+            assert got.shape == (7, 1000) and got.tobytes() == getattr(special, name)(orders, x).tobytes()
 
     def test_every_element_counted_once(self, sector, monkeypatch):
-        # a wrapper on billiard.jv (the benchmark's tracer) counts 2 elements per
-        # Halley evaluation and P*N for the modes, however the calls are split
+        # a wrapper on billiard.hankel1 counts 2 elements per Halley evaluation
+        # and one on billiard.jv P*N for the modes, however the calls are split
         geom, k_max = sector, frequency_to_wavevector(20e9)
         points = ([0.64, 0.2], [0.40, 0.1])
         monkeypatch.setattr(billiard, "_cpu_count", lambda: 1)
-        whole = _counting_jv(monkeypatch)
+        zeros, modes = _counting(monkeypatch, "hankel1"), _counting(monkeypatch, "jv")
         spec = sector_eigenvalues(geom, k_max)
-        n_zeros = len(whole)
+        assert modes == []
         mode_amplitudes(geom, spec, *points)
-        # unsplit, every call is J_nu or J_{nu+1} of one Halley step, in pairs
-        assert n_zeros % 2 == 0 and whole[:n_zeros:2] == whole[1:n_zeros:2]
-        assert whole[n_zeros:] == [2 * len(spec)]
+        # unsplit, every hankel1 call is H_nu or H_{nu+1} of one Halley step, in pairs
+        assert zeros and len(zeros) % 2 == 0 and zeros[::2] == zeros[1::2]
+        assert zeros[0] > len(spec) and modes == [2 * len(spec)]
+        whole_zeros, whole_modes = zeros, modes
 
         monkeypatch.setattr(billiard, "_cpu_count", lambda: 3)
-        split = _counting_jv(monkeypatch)
+        zeros, modes = _counting(monkeypatch, "hankel1"), _counting(monkeypatch, "jv")
         assert sector_eigenvalues(geom, k_max).values.tobytes() == spec.values.tobytes()
+        assert modes == []
         mode_amplitudes(geom, spec, *points)
-        assert len(split) > len(whole) and sum(split) == sum(whole)
+        assert len(zeros) > len(whole_zeros) and sum(zeros) == sum(whole_zeros)
+        assert len(modes) == 3 and sum(modes) == sum(whole_modes)
 
     def test_forked_child_after_parent_split(self, sector, monkeypatch):
         if "fork" not in multiprocessing.get_all_start_methods():
@@ -259,7 +284,7 @@ class TestJvSplit:
         monkeypatch.setattr(billiard, "_cpu_count", lambda: 2)
         k_max = frequency_to_wavevector(20e9)
         expected = len(sector_eigenvalues(sector, k_max))
-        assert billiard._jv_pool is not None
+        assert billiard._bessel_pool is not None
         ctx = multiprocessing.get_context("fork")
         queue = ctx.Queue()
         with warnings.catch_warnings():

@@ -376,6 +376,14 @@ class TestNumberVarianceWarning:
         warned = [bool(quality_warnings(rescaled(model, 1000 + s, 1.0))) for s in range(60)]
         assert np.mean(warned) <= 0.1
 
+    @pytest.mark.parametrize("model", ["poisson", "semi-poisson", "goe"])
+    def test_family_wise_rate_on_replay(self, model):
+        # the benchmark's 229-level Monte-Carlo sequences at its 40 lengths: one call
+        # should warn about as often as one 3-sigma test, 0.27% or 0.8 of 300 calls;
+        # 3 standard errors at every L warned on 9 Poisson and 6 semi-Poisson of these
+        warned = sum(bool(quality_warnings(rescaled(model, s, 1.0))) for s in range(300))
+        assert warned <= 3
+
     def test_one_warning_naming_l_on_mis_unfolded_goe(self):
         for s in range(20):
             log = quality_warnings(rescaled("goe", 2000 + s, 1.1))
