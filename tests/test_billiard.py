@@ -173,7 +173,8 @@ def _bessel_next_errors(geom, spectrum, levels):
     with mpmath.workdps(30):
         errors = []
         for i in levels:
-            order = spectrum.labels[i][0] * mpmath.pi / geom.angle
+            # the order in double, as the code takes it, converted exactly
+            order = mpmath.mpf(spectrum.labels[i][0] * (math.pi / geom.angle))
             exact = mpmath.besselj(order + 1, mpmath.mpf(spectrum.values[i]) * geom.radius)
             errors.append(float(abs((spectrum.bessel_next[i] - exact) / exact)))
     return np.array(errors)
@@ -181,7 +182,7 @@ def _bessel_next_errors(geom, spectrum, levels):
 
 class TestBesselNext:
     # bessel_next comes from a Taylor step off the last Halley point, not from a
-    # Bessel call at the zero; measured: within 8.8e-14 (20 GHz base) and 3.3e-14
+    # Bessel call at the zero; measured: within 5.3e-14 (20 GHz base) and 2.7e-14
     # (orders 2.5 m) on these samples
 
     def test_20_ghz_base_against_mpmath(self, sector):
@@ -222,10 +223,12 @@ def _counting(monkeypatch, name):
     return sizes
 
 
-class TestJvSplit:
-    # the split helper _bessel serves jv (mode amplitudes) and hankel1 (zeros)
-    UFUNCS = {"jv": float, "hankel1": complex}
+def _piecewise_j(v, x):
+    """J_v(x) as ``_besselj`` defines it, from one unsplit call of each ufunc."""
+    return np.where(x > v, special.hankel1(v, x).real, special.jv(v, x))
 
+
+class TestJvSplit:
     @pytest.fixture(autouse=True)
     def own_pool(self, monkeypatch):
         # a pool made under a patched CPU count is dropped after the test
@@ -240,43 +243,49 @@ class TestJvSplit:
         monkeypatch.setattr(billiard, "_cpu_count", lambda: cpus)
         rng = np.random.default_rng(size)
         v, x = rng.uniform(0.0, 300.0, size), rng.uniform(0.0, 700.0, size)
-        for name, dtype in self.UFUNCS.items():
-            monkeypatch.setattr(billiard, "_bessel_pool", None)
-            got = billiard._bessel(name, v, x, np.empty(size, dtype))
-            assert got.shape == (size,) and got.tobytes() == getattr(special, name)(v, x).tobytes()
-            # one CPU, or fewer elements than the split threshold, starts no thread
-            assert (billiard._bessel_pool is None) == (cpus == 1 or size < billiard._BESSEL_SPLIT_MIN)
+        # on the turning point (jv) and one ulp above it (hankel1)
+        x[::5], x[1::5] = v[::5], np.nextafter(v[1::5], np.inf)
+        got = billiard._besselj(v, x, np.empty(size))
+        assert got.shape == (size,) and got.tobytes() == _piecewise_j(v, x).tobytes()
+        # one CPU, or fewer elements than the split threshold, starts no thread
+        assert (billiard._bessel_pool is None) == (cpus == 1 or size < billiard._BESSEL_SPLIT_MIN)
 
     def test_broadcast_shape_of_mode_amplitudes(self, monkeypatch):
         monkeypatch.setattr(billiard, "_cpu_count", lambda: 2)
         rng = np.random.default_rng(1)
         orders, x = 3.0 * np.arange(1, 1001), rng.uniform(0.0, 700.0, (7, 1000))
-        for name, dtype in self.UFUNCS.items():
-            got = billiard._bessel(name, orders, x, np.empty(x.shape, dtype))
-            assert got.shape == (7, 1000) and got.tobytes() == getattr(special, name)(orders, x).tobytes()
+        got = billiard._besselj(orders, x, np.empty(x.shape))
+        assert got.shape == (7, 1000) and got.tobytes() == _piecewise_j(orders, x).tobytes()
 
     def test_every_element_counted_once(self, sector, monkeypatch):
-        # a wrapper on billiard.hankel1 counts 2 elements per Halley evaluation
-        # and one on billiard.jv P*N for the modes, however the calls are split
+        # every Halley point of the zeros lies above the turning point, so
+        # hankel1 gets J_nu and J_{nu+1} of each step and jv no element; the
+        # modes send their k r > nu elements to hankel1 and the rest to jv,
+        # P*N elements in all, however the calls are split
         geom, k_max = sector, frequency_to_wavevector(20e9)
         points = ([0.64, 0.2], [0.40, 0.1])
         monkeypatch.setattr(billiard, "_cpu_count", lambda: 1)
-        zeros, modes = _counting(monkeypatch, "hankel1"), _counting(monkeypatch, "jv")
+        hankel, jv_ = _counting(monkeypatch, "hankel1"), _counting(monkeypatch, "jv")
         spec = sector_eigenvalues(geom, k_max)
-        assert modes == []
+        # unsplit, every hankel1 call is J_nu or J_{nu+1} of one Halley step, in pairs
+        assert hankel and len(hankel) % 2 == 0 and hankel[::2] == hankel[1::2]
+        assert hankel[0] > len(spec) and sum(jv_) == 0
+        whole_zeros = hankel[:]
+        kr, orders = _kr_and_orders(geom, spec, *points)
+        above = np.count_nonzero(kr > orders)
+        assert 0 < above < 2 * len(spec)
+        del hankel[:], jv_[:]
         mode_amplitudes(geom, spec, *points)
-        # unsplit, every hankel1 call is H_nu or H_{nu+1} of one Halley step, in pairs
-        assert zeros and len(zeros) % 2 == 0 and zeros[::2] == zeros[1::2]
-        assert zeros[0] > len(spec) and modes == [2 * len(spec)]
-        whole_zeros, whole_modes = zeros, modes
+        assert hankel == [above] and jv_ == [2 * len(spec) - above]
 
         monkeypatch.setattr(billiard, "_cpu_count", lambda: 3)
-        zeros, modes = _counting(monkeypatch, "hankel1"), _counting(monkeypatch, "jv")
+        hankel, jv_ = _counting(monkeypatch, "hankel1"), _counting(monkeypatch, "jv")
         assert sector_eigenvalues(geom, k_max).values.tobytes() == spec.values.tobytes()
-        assert modes == []
+        assert len(hankel) > len(whole_zeros) and sum(hankel) == sum(whole_zeros) and sum(jv_) == 0
+        del hankel[:], jv_[:]
         mode_amplitudes(geom, spec, *points)
-        assert len(zeros) > len(whole_zeros) and sum(zeros) == sum(whole_zeros)
-        assert len(modes) == 3 and sum(modes) == sum(whole_modes)
+        assert len(hankel) == 3 and sum(hankel) == above
+        assert len(jv_) == 3 and sum(jv_) == 2 * len(spec) - above
 
     def test_forked_child_after_parent_split(self, sector, monkeypatch):
         if "fork" not in multiprocessing.get_all_start_methods():
@@ -322,6 +331,21 @@ def _amplitude_mpmath(geom, m, k, x, y):
         r, phi = mpmath.hypot(x, y), mpmath.atan2(y, x) % (2 * mpmath.pi)
         norm = mpmath.sqrt(geom.angle / 4) * geom.radius * abs(mpmath.besselj(order + 1, k * geom.radius))
         return float(mpmath.sin(order * phi) * mpmath.besselj(order, k * r) / norm)
+
+
+def _envelope_mpmath(geom, m, k, x, y):
+    """|H^(1)_order(k r)| over the norm of psi_{m,nu}: the envelope of the mode at (x, y)."""
+    with mpmath.workdps(30):
+        order = m * mpmath.pi / geom.angle
+        norm = mpmath.sqrt(geom.angle / 4) * geom.radius * abs(mpmath.besselj(order + 1, k * geom.radius))
+        return float(abs(mpmath.hankel1(order, k * mpmath.hypot(x, y))) / norm)
+
+
+def _kr_and_orders(geom, spectrum, x, y):
+    """k r, shape (P, N), and the orders nu as ``mode_amplitudes`` takes them;
+    k r > nu above the turning point."""
+    orders = np.array([m for m, _ in spectrum.labels], dtype=float) * math.pi / geom.angle
+    return spectrum.values * np.hypot(x, y).reshape(-1, 1), orders
 
 
 # polar points on the boundary of the sector (rejected as scatterer positions) and outside it
@@ -399,6 +423,37 @@ class TestWavefunction:
         np.testing.assert_allclose(amp[:, levels], expected, rtol=1e-12, atol=0.0)
         w = mode_intensities_at(sector, spec, *points[0])
         np.testing.assert_allclose(w[levels], expected[0] ** 2, rtol=1e-12, atol=0.0)
+
+    def test_20_ghz_base_above_turning_point(self, sector):
+        # above the turning point, k r > nu, J_nu is Re H^(1)_nu; near the nodes
+        # of J the relative error means nothing for either ufunc, so the bound is
+        # on the envelope (measured: 2.5e-13 of it, as with jv); the levels
+        # nearest the turning point, the farthest from it, and 40 at random
+        spec, (x, y) = sector_eigenvalues(sector, 2.0 * frequency_to_wavevector(20e9)), (0.64, 0.40)
+        kr, orders = _kr_and_orders(sector, spec, x, y)
+        gap = kr[0] - orders
+        above = np.flatnonzero(gap > 0.0)
+        by_gap = above[np.argsort(gap[above])]
+        random = np.random.default_rng(9).choice(above, 40, replace=False)
+        levels = np.concatenate([by_gap[:20], by_gap[-20:], random])
+        amp = mode_amplitudes(sector, spec, x, y)[0]
+        for i in levels:
+            m, k = spec.labels[i][0], spec.values[i]
+            error = abs(amp[i] - _amplitude_mpmath(sector, m, k, x, y))
+            assert error <= 1e-12 * _envelope_mpmath(sector, m, k, x, y)
+
+    def test_20_ghz_base_below_turning_point(self, sector):
+        # near the apex most modes are evanescent, k r < nu, and come from jv;
+        # J has no nodes there, so the relative error counts; the levels lie
+        # between nu/5 and the turning point, where the modes are still normal
+        # doubles, down to 2e-98 here (measured: 7.0e-14)
+        spec, (x, y) = sector_eigenvalues(sector, 2.0 * frequency_to_wavevector(20e9)), (0.05, 0.02)
+        kr, orders = _kr_and_orders(sector, spec, x, y)
+        below = np.flatnonzero((kr[0] <= orders) & (kr[0] > orders / 5.0))
+        levels = np.random.default_rng(10).choice(below, 20, replace=False)
+        expected = [_amplitude_mpmath(sector, spec.labels[i][0], spec.values[i], x, y) for i in levels]
+        amp = mode_amplitudes(sector, spec, x, y)[0]
+        np.testing.assert_allclose(amp[levels], expected, rtol=1e-12, atol=0.0)
 
     def test_intensities_need_bessel_next(self, sector, sector_spectrum_46):
         bare = WavevectorSpectrum(sector_spectrum_46.values, sector_spectrum_46.labels)
