@@ -122,9 +122,8 @@ def validate_scatterers(geom: SectorGeometry, disks: list[DiskScatterer]) -> Non
 @dataclass
 class WavevectorSpectrum:
     """Ascending eigen-wavevectors (1/m), optionally labelled by (m, nu); a sector
-    spectrum also holds J_{order+1}(k_n R) in ``bessel_next`` (see ``_mode_norm``),
-    from a Taylor step off the last Halley point of each zero, within 1e-12
-    relative of mpmath (see ``_bessel_zeros``)."""
+    spectrum also holds J_{order+1}(k_n R) in ``bessel_next`` (see ``_mode_norm``
+    and ``_bessel_zeros``)."""
 
     values: np.ndarray
     labels: list[tuple[int, int]] | None = None
@@ -165,15 +164,7 @@ class WeylParams:
 _HALLEY_MAX_ITER = 8
 _EPS = np.finfo(float).eps
 
-# J_nu(x) comes from hankel1 above the turning point, x > nu, as Re H^(1)_nu(x)
-# (DLMF 10.4.3): there AMOS zbesh takes about a third of jv's time and is as
-# accurate (within 2.5e-13 of |H^(1)| on the 20 GHz modes, as jv is).  Below
-# it J_nu is far smaller than |Y_nu| and lost in the rounding of H^(1), so jv
-# serves x <= nu (within 7e-14 relative near the apex).  Both ufuncs release
-# the GIL: a call with at least this many elements is split into one
-# contiguous chunk per CPU of the process, evaluated by the calling thread and
-# a lazily created pool of the other threads
-_BESSEL_SPLIT_MIN = 4096
+_BESSEL_SPLIT_MIN = 4096  # elements from which ``_besselj`` splits a call over the CPUs
 _bessel_pool = None  # a concurrent.futures.ThreadPoolExecutor, made on first use
 
 
@@ -197,12 +188,20 @@ def _besselj(v, x, out: np.ndarray) -> np.ndarray:
     """Real J_v(x) at the broadcast arguments, written into the contiguous float
     ``out``: ``hankel1(v, x).real`` where x > v, ``jv(v, x)`` elsewhere.
 
-    A call of at least ``_BESSEL_SPLIT_MIN`` elements runs one contiguous
-    chunk per CPU; each chunk passes each of its elements to exactly one of
-    the module names ``hankel1`` and ``jv``, so a wrapper installed there
-    sees it once, and its complex temporary holds only the chunk's elements
-    above the turning point.  The result is bitwise equal to the unsplit
-    evaluation.
+    Every J_nu of the zeros and the modes comes from here.  Above the
+    turning point, x > v, J_v is Re H^(1)_v(x) (DLMF 10.4.3), which AMOS
+    ``zbesh`` evaluates in about a third of ``jv``'s time.  Below it J_v is
+    far smaller than |Y_v| and lost in the rounding of H^(1), so ``jv``
+    serves x <= v, where the modes near the apex are evanescent.
+
+    Both ufuncs release the GIL.  A call of at least ``_BESSEL_SPLIT_MIN``
+    elements runs one contiguous chunk per CPU the process may run on, one
+    on the calling thread and the others on a lazily created pool.  Each
+    chunk passes each of its elements to exactly one of the module names
+    ``hankel1`` and ``jv``, so a wrapper installed there sees it once, and
+    its complex temporary holds only the chunk's elements above the turning
+    point.  The result is bitwise equal to the unsplit evaluation
+    (``TestJvSplit``).
     """
     global _bessel_pool
     v, x = np.broadcast_arrays(v, x)
@@ -267,23 +266,14 @@ def _bessel_zeros(nu: np.ndarray, s: np.ndarray, reach: float = math.inf):
     ``_HALLEY_MAX_ITER`` steps, or when an order's zeros are not ascending
     more than pi/2 apart (a seed converged to its neighbour's zero).
 
-    Each step takes J_nu(x) and J_{nu+1}(x) from ``_besselj``, on the
-    process's CPUs.  Every Halley point lies above the turning point of both
-    orders (measured: x - nu - 1 >= 1.40 for order 0 and >= 2.38 on the
-    60-degree sector bases to 4.6 and 20 GHz), so both come from ``hankel1``
-    as Re H^(1) (DLMF 10.4.3), which AMOS ``zbesh`` evaluates about three
-    times faster than ``jv``.
-
-    J_{nu+1} at a zero is not evaluated again: it is the Taylor polynomial
-    of degree 3 about the last Halley point x, built from that step's
-    J_nu(x) and J_{nu+1}(x) with J'_mu = J_{mu-1} - (mu/x) J_mu and the
-    higher derivatives from Bessel's equation.  The last step is below
-    (6 eps z)^(1/3), so the omitted term is far below rounding.  Against
-    mpmath ``besselj`` the result is as close as a Bessel function
-    evaluated at the zero (tests: rtol 1e-12 on samples, 1e-14 at three
-    far-field levels of the 20 GHz base; measured: within 2.4e-13 up to
-    kR = 670, the largest errors at x - nu of about 70, near the turning
-    point).
+    Each step takes J_nu(x) and J_{nu+1}(x) from ``_besselj``.  J_{nu+1} at
+    a zero is not evaluated again: it is the Taylor polynomial of degree 3
+    about the last Halley point x, built from that step's J_nu(x) and
+    J_{nu+1}(x) with J'_mu = J_{mu-1} - (mu/x) J_mu and the higher
+    derivatives from Bessel's equation.  The last step is below
+    (6 eps z)^(1/3), so the omitted term is far below rounding.
+    ``TestBesselNext`` compares it with mpmath ``besselj`` at rtol 1e-12 on
+    samples and 1e-14 at three far-field levels of the 20 GHz base.
     """
     z = _zero_seeds(nu, s)
     keep = z <= reach
@@ -327,8 +317,8 @@ def bessel_order_zeros(order: float, count: int) -> np.ndarray:
 
     Each zero is seeded from McMahon's expansion (order < 1) or Olver's
     uniform expansion (order >= 1) and refined by Halley steps; see
-    ``_bessel_zeros``.  The tests compare with ``mpmath.besseljzero`` at
-    rtol 1e-13 (orders 0, 0.25, 0.5 and 300; measured: within 2.2e-16).
+    ``_bessel_zeros``.  ``TestBesselZeros`` compares them with
+    ``mpmath.besseljzero`` at rtol 1e-13 (orders 0, 0.25, 0.5 and 300).
     """
     order = float(order)
     if not math.isfinite(order) or order < 0.0:
@@ -341,38 +331,36 @@ def bessel_order_zeros(order: float, count: int) -> np.ndarray:
 
 # ----------------------------------------------------------------------
 # Sector spectrum and wavefunctions
-#
-# ``mode_amplitudes`` is the one place where the modes psi_n are evaluated;
-# ``mode_intensities_at`` squares it at a scatterer position.
 # ----------------------------------------------------------------------
+
+def _bessel_orders(geom: SectorGeometry, m) -> np.ndarray:
+    """The Bessel order m*(pi/theta) of the angular indices ``m``: the one
+    double at which a level's zero is solved and its mode evaluated."""
+    return np.asarray(m, dtype=float) * (math.pi / geom.angle)
+
 
 def sector_eigenvalues(geom: SectorGeometry, k_max: float) -> WavevectorSpectrum:
     """All eigen-wavevectors of the sector billiard up to ``k_max``.
 
     Solves J_{m*pi/theta}(k R) = 0 for every angular index m >= 1 and
     labels each solution by (m, nu) with nu the radial zero index.  The
-    zeros of all orders are refined together from asymptotic seeds (see
-    ``_bessel_zeros``); the tests compare them with ``mpmath.besseljzero``
-    at rtol 1e-13 for the orders 2.5 m up to kR = 60 (measured: within
-    5.6e-16).  The spectrum keeps J_{order+1}(k R) as ``bessel_next``, taken
-    from each zero's last Halley step by a Taylor step rather than a further
-    Bessel call; the tests compare it with mpmath at rtol 1e-12 (measured:
-    within 2.4e-13 up to kR = 670).  J_nu comes from ``hankel1`` at every
-    Halley point, all above the turning point (see ``_besselj``); large calls
-    are split over the CPUs the process may run on, with results bitwise
-    equal to one call.
+    zeros of all orders are refined together from asymptotic seeds, and
+    the spectrum keeps J_{order+1}(k R) as ``bessel_next`` (see
+    ``_bessel_zeros``).  ``test_non_integer_orders_against_mpmath`` compares
+    the zeros with ``mpmath.besseljzero`` at rtol 1e-13 for the orders 2.5 m
+    up to kR = 60.
     """
     k_max = check_positive(k_max, "k_max")
     x_max = k_max * geom.radius
     reach = x_max + 1.0  # seeds lie well within 1 of their zeros
-    step = math.pi / geom.angle
-    m = np.arange(1, math.ceil(reach / step))  # zeros of J_nu exceed nu
+    m = np.arange(1, math.ceil(reach / _bessel_orders(geom, 1)))  # zeros of J_nu exceed nu
+    nu = _bessel_orders(geom, m)
     # J_nu has about phase/pi + 1/4 zeros below reach (Debye); two more cover the error
-    c = np.minimum(m * step / reach, 1.0)
+    c = np.minimum(nu / reach, 1.0)
     count = (reach * (np.sqrt(1.0 - c * c) - c * np.arccos(c)) / math.pi + 0.25).astype(np.intp) + 2
     m = np.repeat(m, count)
     s = np.arange(m.size) - np.repeat(np.cumsum(count) - count, count) + 1
-    keep, zeros, bessel_next = _bessel_zeros(m * step, s, reach)
+    keep, zeros, bessel_next = _bessel_zeros(np.repeat(nu, count), s, reach)
     idx = np.argsort(zeros, kind="stable")
     idx = idx[zeros[idx] <= x_max]
     labels = list(zip(m[keep][idx].tolist(), s[keep][idx].tolist()))
@@ -391,15 +379,16 @@ def mode_amplitudes(geom: SectorGeometry, spectrum: WavevectorSpectrum, x, y) ->
     The P points are the flattened broadcast of the cartesian ``x`` and
     ``y`` (metres); the N columns follow ``spectrum``, which needs
     ``labels`` and ``bessel_next`` (see ``sector_eigenvalues``).  Each mode
-    has unit L2 norm over the sector.  Every point must lie in the closed
-    sector, up to one ulp of rounding for points constructed on the boundary.
+    has unit L2 norm over the sector and is evaluated at the order its zero
+    was solved at (``_bessel_orders``), with J_nu(k r) from ``_besselj``.
 
-    J_nu(k r) comes from ``_besselj``: ``hankel1`` above the turning point,
-    k r > nu (98.7% of the pairs at (0.64, 0.40) m on the 20 GHz base), and
-    ``jv`` below it, where modes near the apex are evanescent.  Against
-    mpmath the tests bound the error by 1e-12 of the mode's envelope
-    |H^(1)_nu(k r)| above the turning point (measured: 2.5e-13, as with
-    ``jv``) and by 1e-12 relative below it (measured: 7.0e-14).
+    Every point must lie in the closed sector up to rounding:
+    r <= R (1 + 1e-12) and 0 <= phi <= theta + 4 ulp(theta), with
+    phi = arctan2(y, x) taken in [0, 2 pi), which can put a point built on
+    the upper edge one ulp above it.  Against mpmath
+    ``test_20_ghz_base_above_turning_point`` bounds the error by 1e-12 of
+    the mode's envelope |H^(1)_nu(k r)| for k r > nu, and
+    ``test_20_ghz_base_below_turning_point`` by 1e-12 relative below it.
     """
     if spectrum.labels is None or spectrum.bessel_next is None:
         raise InvalidArgumentError("spectrum needs labels and bessel_next, see sector_eigenvalues")
@@ -407,9 +396,10 @@ def mode_amplitudes(geom: SectorGeometry, spectrum: WavevectorSpectrum, x, y) ->
     r = np.hypot(x, y).reshape(-1, 1)
     phi = np.arctan2(y, x).reshape(-1, 1)
     phi[phi < 0.0] += 2.0 * math.pi  # [0, 2 pi) for sectors wider than pi; -0.0 stays on the edge
-    if not np.all((r <= geom.radius * (1.0 + 1e-12)) & (phi >= 0.0) & (phi <= geom.angle)):
+    phi_max = geom.angle + 4.0 * np.spacing(geom.angle)
+    if not np.all((r <= geom.radius * (1.0 + 1e-12)) & (phi >= 0.0) & (phi <= phi_max)):
         raise InvalidArgumentError("points must lie in the closed sector")
-    orders = np.array([m for m, _ in spectrum.labels], dtype=float) * math.pi / geom.angle
+    orders = _bessel_orders(geom, [m for m, _ in spectrum.labels])
     kr = spectrum.values * r
     amp = np.sin(orders * phi) * _besselj(orders, kr, np.empty(kr.shape))
     return amp / np.sqrt(_mode_norm(geom, spectrum.bessel_next))
@@ -485,14 +475,7 @@ def sector_weyl_params(
 # Point scatterer
 # ----------------------------------------------------------------------
 
-# The secular solve works on blocks of consecutive gaps.  The poles within
-# one block length of a block are summed exactly; the others lie at least
-# that far away, where their sum is smooth enough for the polynomial of this
-# degree through its values at Chebyshev points to reach rounding level.
-# Groups of blocks take the poles beyond one group length in the same way,
-# so a block sums the rest of its group's window directly.  The far poles
-# are summed a chunk at a time, which bounds the temporaries to a
-# (nodes x chunk) array.
+# the layout and iteration of the secular solve, see ``_secular_roots``
 _BLOCK_GAPS = 64
 _GROUP_BLOCKS = 8
 _FAR_DEGREE = 24
@@ -532,7 +515,8 @@ def _window(E, g0: int, g1: int, reach: int) -> tuple:
 def _far_sums(E, w, n0: int, n1: int, at: np.ndarray) -> np.ndarray:
     """Sums over the poles outside E[n0:n1] at the points ``at``, one row each:
     sum w_n / (E_n - e), and sum w_n / (E_n - e)^2 over the poles below n0,
-    then over the poles from n1 on."""
+    then over the poles from n1 on.  ``_FAR_CHUNK`` poles at a time bound the
+    temporaries to an (at x chunk) array."""
     out = np.zeros((at.size, 3))
     buf = np.empty((at.size, _FAR_CHUNK))
     for start, stop, col in ((0, n0, 1), (n1, E.size, 2)):
@@ -603,24 +587,30 @@ def _secular_roots(E, w, shift: float, n_gaps: int) -> tuple[np.ndarray, np.ndar
     keeps roots close to a pole to full relative accuracy.
 
     The sums are evaluated by blocks of ``_BLOCK_GAPS`` gaps.  In a block
-    the poles within one block length are summed exactly.  The sum of the
-    other poles, and its derivative split into the poles left and right of
-    the block, enter through the polynomials through their values at
-    ``_FAR_DEGREE + 1`` Chebyshev points of the block, evaluated by the
-    barycentric formula.  Those values come the same way from the group of
-    ``_GROUP_BLOCKS`` blocks the block belongs to, for the poles beyond one
-    group length, plus direct sums over the rest.  Every gap starts at its
-    midpoint, and every step solves the "middle way" model of Li (LAPACK
-    ``dlaed4``): c + s/(E_i - e) + S/(E_{i+1} - e) with s and S matching the
-    derivatives of the pole sums left and right of the gap and c matching
-    f.  The sign of f at the midpoint picks the pole the offsets are
-    measured from.  The model's root lies inside the gap; a step that
-    leaves the bracket set by the signs of f seen so far bisects instead.
+    the poles within one block length are summed exactly.  The other poles
+    lie at least that far away, where their sum is smooth: it enters, with
+    its derivative split into the poles left and right of the block,
+    through the polynomials through its values at ``_FAR_DEGREE + 1``
+    Chebyshev points of the block (``_barycentric``).  Those values come the
+    same way from the group of ``_GROUP_BLOCKS`` blocks the block belongs
+    to, for the poles beyond one group length, plus direct sums over the
+    rest of the group's window.  ``test_far_interpolant_against_fsum``
+    bounds the interpolated sums by 1e-13 relative.
 
-    The solve runs on the calling thread.  Its numpy calls are short (a
-    block's gaps times its 193 poles, a far table's 25 points times 2048
-    poles), and on two threads the interpreter lock changing hands at every
-    call gained nothing measurable.
+    All gaps iterate together.  Every gap starts at its midpoint, and every
+    step solves the "middle way" model of Li (LAPACK ``dlaed4``):
+    c + s/(E_i - e) + S/(E_{i+1} - e) with s and S matching the derivatives
+    of the pole sums left and right of the gap and c matching f.  The sign
+    of f at the midpoint picks the pole the offsets are measured from.  The
+    model's root lies inside the gap; a step that leaves the bracket set by
+    the signs of f seen so far bisects instead.  Iteration stops once the
+    step or f is at rounding level.
+    ``test_roots_beyond_group_windows_against_mpmath`` brackets sampled
+    roots within 1e-14 relative in E.
+
+    The solve runs on the calling thread: its numpy calls are short, and on
+    two threads the interpreter lock changing hands at every call gained
+    nothing.
     """
     blocks = _blocks(E, w, n_gaps)
     n_blocks = len(blocks)
@@ -716,19 +706,10 @@ def point_scatterer_spectrum(
     -----
     This is the secular equation of the rank-one update diag(E_n) +
     rho * sqrt(w) sqrt(w)^T (Bunch, Nielsen & Sorensen, Numer. Math. 31,
-    31 (1978)).  All gaps are solved together.  The pole sums are taken in
-    blocks of consecutive gaps: poles near a block are summed exactly, the
-    far poles left and right of it through the polynomials that interpolate
-    their sums and derivatives at Chebyshev points of the block, evaluated
-    in barycentric form (Berrut & Trefethen, SIAM Rev. 46, 501 (2004)).
-    Groups of blocks do the same for the poles beyond their own windows, so
-    a block sums only its group's window directly.  Every gap takes
-    two-pole rational ("middle way") steps in coordinates centred on its
-    nearer pole until the step is at rounding level.  Roots come out to a
-    few ulps, also when a tiny intensity puts a root next to its pole.
-    The solve starts no thread.  As in LAPACK ``dlaed2``, a level is
-    deflated, i.e. left out of the solve and kept unshifted, when
-    sqrt(w_n) <= 8 eps max(E_max, sqrt(max w)), E_max the largest base E_n.
+    31 (1978)), solved in every gap at once by ``_secular_roots``.  As in
+    LAPACK ``dlaed2``, a level is deflated, i.e. left out of the solve and
+    kept unshifted, when sqrt(w_n) <= 8 eps max(E_max, sqrt(max w)), E_max
+    the largest base E_n.
 
     The truncation of the base is not negligible: for the 60-degree,
     R = 0.8 m sector up to 4.6 GHz at coupling 5, a base to 2*k_max

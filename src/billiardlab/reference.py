@@ -8,10 +8,16 @@ exactly as in ``MODELS`` and statistics as ``"P"``, ``"I"``, ``"sigma2"``
 or ``"delta3"``, with no aliases.
 
 The GOE long-range forms are the standard large-L logarithmic
-approximations, accurate at the percent level for L >~ 1:
+approximations:
 
     Sigma^2(L) = (2/pi^2) [ln(2 pi L) + gamma + 1 - pi^2/8]
     Delta3(L)  = (1/pi^2) [ln(2 pi L) + gamma - 5/4 - pi^2/8]
+
+They fail at short windows.  Against the exact GOE curves (Mehta, Random
+Matrices, 3rd ed. (2004), ch. 16) Sigma^2 is 4% low at L = 0.5 and within
+1% from L = 1 on, but Delta3 is -0.0070 against 0.0605 at L = 1, and 38%
+low at L = 2, 10% at L = 5 and 4% at L = 10.  ROADMAP.md ("Exact GOE
+Sigma^2 and Delta3") gives the measurement and the exact forms to use.
 
 The semi-Poisson Delta3 follows from Sigma^2(L) = L/2 + (1 - e^(-4L))/8
 through the kernel

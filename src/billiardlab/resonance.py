@@ -288,10 +288,10 @@ def fit_resonances(trace: ComplexTrace, guesses) -> ResonanceSet:
     modulus of (model - data) is minimised jointly over real and imaginary parts by damped
     least-squares; widths stay within [sample step, window span] through a
     clipped log reparametrisation.  A window fit stops once an accepted
-    step moves every parameter by less than ``_SE_STEP`` = 1e-3 of its
-    standard error, or by less than ``_TOL`` = 1e-8 relative to its value
-    (exact models, where the standard errors vanish), or after ``_MAX_ITER``
-    = 200 steps; ``FitReport.message`` names the rule.
+    step moves every parameter by less than ``_SE_STEP`` of its standard
+    error, or by less than ``_TOL`` relative to its value (exact models,
+    where the standard errors vanish), or after ``_MAX_ITER`` steps;
+    ``FitReport.message`` names the rule.
 
     A fit that does not converge is returned flagged
     (``Resonance.converged = False``) together with diagnostics in the

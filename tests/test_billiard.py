@@ -69,11 +69,13 @@ class TestBesselZeros:
     @pytest.mark.parametrize("order", [0.0, 0.25, 0.5])
     def test_small_orders_against_mpmath(self, order):
         # McMahon seeds; below order 1/2 the zeros are less than pi apart
+        # (measured: equal to mpmath rounded to double)
         expected = [float(mpmath.besseljzero(order, s)) for s in range(1, 6)]
         np.testing.assert_allclose(bessel_order_zeros(order, 5), expected, rtol=1e-13)
 
     def test_transition_region_against_mpmath(self):
         # order 300: the first zeros sit in the Airy transition region
+        # (measured: within 2.2e-16)
         np.testing.assert_allclose(bessel_order_zeros(300, 3), BESSELJZERO["order_300"], rtol=1e-13)
 
     def test_nonconvergence_raises(self, monkeypatch):
@@ -117,7 +119,8 @@ class TestSectorEigenvalues:
         assert len(sector_spectrum_46) == 229
 
     def test_eigenvalue_equation_residuals(self, sector, sector_spectrum_46):
-        orders = np.array([m for m, _ in sector_spectrum_46.labels]) * math.pi / sector.angle
+        # the order in double, as the code takes it
+        orders = np.array([m for m, _ in sector_spectrum_46.labels]) * (math.pi / sector.angle)
         residuals = np.abs(jv(orders, sector_spectrum_46.values * sector.radius))
         assert residuals.max() < 1e-9
 
@@ -150,6 +153,7 @@ class TestSectorEigenvalues:
 
     def test_non_integer_orders_against_mpmath(self):
         # angle 2*pi/5: orders 2.5 m, every zero of every order up to kR = 60
+        # (measured: within 5.6e-16)
         table = BESSELJZERO["sector"]
         geom = SectorGeometry(radius=1.0, angle=2.0 * math.pi / 5.0)
         spec = sector_eigenvalues(geom, table["x_max"])
@@ -258,10 +262,12 @@ class TestJvSplit:
         assert got.shape == (7, 1000) and got.tobytes() == _piecewise_j(orders, x).tobytes()
 
     def test_every_element_counted_once(self, sector, monkeypatch):
-        # every Halley point of the zeros lies above the turning point, so
-        # hankel1 gets J_nu and J_{nu+1} of each step and jv no element; the
-        # modes send their k r > nu elements to hankel1 and the rest to jv,
-        # P*N elements in all, however the calls are split
+        # every Halley point of the zeros lies above the turning point of both
+        # orders (measured: x - nu - 1 >= 2.38 on the 4.6 and 20 GHz bases, set
+        # by the lowest level, and 1.40 for order 0), so hankel1 gets J_nu and
+        # J_{nu+1} of each step and jv no element; the modes send their
+        # k r > nu elements to hankel1 and the rest to jv, P*N elements in
+        # all, however the calls are split
         geom, k_max = sector, frequency_to_wavevector(20e9)
         points = ([0.64, 0.2], [0.40, 0.1])
         monkeypatch.setattr(billiard, "_cpu_count", lambda: 1)
@@ -344,7 +350,7 @@ def _envelope_mpmath(geom, m, k, x, y):
 def _kr_and_orders(geom, spectrum, x, y):
     """k r, shape (P, N), and the orders nu as ``mode_amplitudes`` takes them;
     k r > nu above the turning point."""
-    orders = np.array([m for m, _ in spectrum.labels], dtype=float) * math.pi / geom.angle
+    orders = np.array([m for m, _ in spectrum.labels], dtype=float) * (math.pi / geom.angle)
     return spectrum.values * np.hypot(x, y).reshape(-1, 1), orders
 
 
@@ -362,13 +368,41 @@ _OUTSIDE = ["beyond arc", "below lower edge", "beyond upper edge"]
 
 class TestWavefunction:
     def test_zero_on_straight_edges(self, sector, sector_spectrum_46):
+        # arctan2 puts 2 (pi/5) and 1 (0.3 rad) of these upper-edge points one
+        # ulp above the edge; they are still in the closed sector
         r = np.linspace(0.01, 0.79, 40)
-        lower = mode_amplitudes(sector, sector_spectrum_46, r, np.zeros_like(r))
-        np.testing.assert_array_equal(lower, 0.0)
-        upper = mode_amplitudes(
-            sector, sector_spectrum_46, r * math.cos(sector.angle), r * math.sin(sector.angle)
-        )
-        assert np.max(np.abs(upper)) < 1e-12
+        for angle in (sector.angle, math.pi / 5.0, 0.3):
+            geom = SectorGeometry(radius=sector.radius, angle=angle)
+            spec = sector_spectrum_46 if geom == sector else sector_eigenvalues(geom, 60.0)
+            lower = mode_amplitudes(geom, spec, r, np.zeros_like(r))
+            np.testing.assert_array_equal(lower, 0.0)
+            upper = mode_amplitudes(geom, spec, r * math.cos(angle), r * math.sin(angle))
+            assert np.max(np.abs(upper)) < 1e-12
+
+    def test_modes_take_the_orders_of_their_zeros(self, sector, monkeypatch):
+        # m * pi / theta and m * (pi / theta) differ by one ulp at many levels of
+        # the 20 GHz base: each mode must take the double its zero was solved at
+        solved, taken = [], []
+        zeros, besselj = billiard._bessel_zeros, billiard._besselj
+
+        def solving(nu, s, reach=math.inf):
+            keep, z, bessel_next = zeros(nu, s, reach)
+            solved.append((nu, s, keep))
+            return keep, z, bessel_next
+
+        def taking(v, x, out):
+            taken.append(np.array(v, dtype=float))
+            return besselj(v, x, out)
+
+        monkeypatch.setattr(billiard, "_bessel_zeros", solving)
+        spec = sector_eigenvalues(sector, 2.0 * frequency_to_wavevector(20e9))
+        (nu, s, keep), = solved
+        m = np.cumsum(np.r_[True, nu[1:] != nu[:-1]])  # the candidates come order by order
+        by_label = dict(zip(zip(m[keep].tolist(), s[keep].tolist()), nu[keep]))
+        expected = np.array([by_label[label] for label in spec.labels])
+        monkeypatch.setattr(billiard, "_besselj", taking)
+        mode_amplitudes(sector, spec, 0.64, 0.40)
+        assert len(taken) == 1 and taken[0].tobytes() == expected.tobytes()
 
     def test_tiny_on_arc(self, sector, sector_spectrum_46):
         ground = _modes(sector_spectrum_46, (1, 1))
