@@ -165,16 +165,6 @@ _HALLEY_MAX_ITER = 8
 _EPS = np.finfo(float).eps
 
 _BESSEL_SPLIT_MIN = 4096  # elements from which ``_besselj`` splits a call over the CPUs
-_bessel_pool = None  # a concurrent.futures.ThreadPoolExecutor, made on first use
-
-
-def _forget_bessel_pool() -> None:
-    global _bessel_pool
-    _bessel_pool = None
-
-
-if hasattr(os, "register_at_fork"):  # a forked child has none of the parent's pool threads
-    os.register_at_fork(after_in_child=_forget_bessel_pool)
 
 
 def _cpu_count() -> int:
@@ -184,9 +174,9 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def _besselj(v, x, out: np.ndarray) -> np.ndarray:
-    """Real J_v(x) at the broadcast arguments, written into the contiguous float
-    ``out``: ``hankel1(v, x).real`` where x > v, ``jv(v, x)`` elsewhere.
+def _besselj(v, x) -> np.ndarray:
+    """Real J_v(x) at the broadcast arguments, as a new float array:
+    ``hankel1(v, x).real`` where x > v, ``jv(v, x)`` elsewhere.
 
     Every J_nu of the zeros and the modes comes from here.  Above the
     turning point, x > v, J_v is Re H^(1)_v(x) (DLMF 10.4.3), which AMOS
@@ -196,15 +186,16 @@ def _besselj(v, x, out: np.ndarray) -> np.ndarray:
 
     Both ufuncs release the GIL.  A call of at least ``_BESSEL_SPLIT_MIN``
     elements runs one contiguous chunk per CPU the process may run on, one
-    on the calling thread and the others on a lazily created pool.  Each
-    chunk passes each of its elements to exactly one of the module names
-    ``hankel1`` and ``jv``, so a wrapper installed there sees it once, and
-    its complex temporary holds only the chunk's elements above the turning
-    point.  The result is bitwise equal to the unsplit evaluation
-    (``TestJvSplit``).
+    on the calling thread and the others on a thread pool that the call
+    opens and joins before it returns; a chunk's exception reaches the
+    caller.  Each chunk passes each of its elements to exactly one of the
+    module names ``hankel1`` and ``jv``, so a wrapper installed there sees
+    it once, and its complex temporary holds only the chunk's elements
+    above the turning point.  The result is bitwise equal to the unsplit
+    evaluation (``TestJvSplit``).
     """
-    global _bessel_pool
     v, x = np.broadcast_arrays(v, x)
+    out = np.empty(x.shape)
     v, x, flat = v.ravel(), x.ravel(), out.reshape(-1)
     n = _cpu_count() if x.size >= _BESSEL_SPLIT_MIN else 1
     bounds = np.linspace(0, x.size, n + 1).astype(np.intp)
@@ -217,14 +208,15 @@ def _besselj(v, x, out: np.ndarray) -> np.ndarray:
         oc[above] = hankel1(vc[above], xc[above]).real
         oc[below] = jv(vc[below], xc[below])
 
-    if n > 1 and _bessel_pool is None:
-        from concurrent.futures import ThreadPoolExecutor
+    if n == 1:
+        chunk(0)
+        return out
+    from concurrent.futures import ThreadPoolExecutor
 
-        _bessel_pool = ThreadPoolExecutor(n - 1, thread_name_prefix="billiardlab-bessel")
-    others = [_bessel_pool.submit(chunk, i) for i in range(1, n)]
-    chunk(0)
-    for f in others:
-        f.result()
+    with ThreadPoolExecutor(n - 1, thread_name_prefix="billiardlab-bessel") as pool:
+        others = pool.map(chunk, range(1, n))
+        chunk(0)
+        list(others)
     return out
 
 
@@ -284,8 +276,8 @@ def _bessel_zeros(nu: np.ndarray, s: np.ndarray, reach: float = math.inf):
     while todo.size and steps < _HALLEY_MAX_ITER:
         steps += 1
         v, x = nu[todo], z[todo]
-        f = _besselj(v, x, np.empty(todo.size))
-        g = _besselj(v + 1.0, x, np.empty(todo.size))
+        f = _besselj(v, x)
+        g = _besselj(v + 1.0, x)
         at[todo], j0[todo], j1[todo] = x, f, g
         d1 = v / x * f - g
         h = f / d1
@@ -401,7 +393,7 @@ def mode_amplitudes(geom: SectorGeometry, spectrum: WavevectorSpectrum, x, y) ->
         raise InvalidArgumentError("points must lie in the closed sector")
     orders = _bessel_orders(geom, [m for m, _ in spectrum.labels])
     kr = spectrum.values * r
-    amp = np.sin(orders * phi) * _besselj(orders, kr, np.empty(kr.shape))
+    amp = np.sin(orders * phi) * _besselj(orders, kr)
     return amp / np.sqrt(_mode_norm(geom, spectrum.bessel_next))
 
 

@@ -195,9 +195,13 @@ def spacing_ks(u: UnfoldedSpectrum, model: str) -> float:
     their sample mean first, which compares the shape of the distribution
     independently of small unfolding imperfections.  The statistic of the
     spacings as they are is ``ks_distance(cumulative_spacing(u),
-    reference_curve(model, "I", np.sort(u.spacings())))``.
+    reference_curve(model, "I", np.sort(u.spacings())))``.  Spacings that
+    are all zero have no mean to divide by and raise InvalidArgumentError.
     """
     _check_model(model)
     s = u.spacings()
-    s = np.sort(s / s.mean())
+    mean = s.mean()
+    if mean == 0.0:
+        raise InvalidArgumentError("zero mean spacing: all levels are equal, so the spacings cannot be rescaled")
+    s = np.sort(s / mean)
     return ks_distance(_step_curve(s), StatCurve(s, spacing_cdf(model, s)))

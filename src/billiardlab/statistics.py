@@ -245,14 +245,15 @@ def _sided_values(grid: np.ndarray, absc: np.ndarray, ordv: np.ndarray):
 def ks_distance(empirical: StatCurve, reference: StatCurve) -> float:
     """Sup-norm distance between two cumulative curves.
 
-    Both inputs must be (weakly) monotone.  Both are linear between their
-    knots, repeated abscissa points encoding jumps, so the supremum sits at
-    a one-sided limit on a knot: comparing the one-sided limits of each
-    curve over the union of the two grids gives it exactly.
+    Both inputs must be finite and (weakly) monotone.  Both are linear
+    between their knots, repeated abscissa points encoding jumps, so the
+    supremum sits at a one-sided limit on a knot: comparing the one-sided
+    limits of each curve over the union of the two grids gives it exactly.
     """
     for name, curve in (("empirical", empirical), ("reference", reference)):
-        if curve.abscissa.size == 0 or np.any(np.diff(curve.ordinate) < -1e-12):
-            raise InvalidArgumentError(f"{name} curve is empty or not monotone, not a cumulative")
+        o = curve.ordinate
+        if o.size == 0 or not np.all(np.isfinite(o)) or np.any(np.diff(o) < -1e-12):
+            raise InvalidArgumentError(f"{name} curve is empty, not finite or not monotone, not a cumulative")
     grid = np.union1d(empirical.abscissa, reference.abscissa)
     e_lo, e_hi = _sided_values(grid, empirical.abscissa, empirical.ordinate)
     r_lo, r_hi = _sided_values(grid, reference.abscissa, reference.ordinate)

@@ -232,12 +232,12 @@ def _piecewise_j(v, x):
     return np.where(x > v, special.hankel1(v, x).real, special.jv(v, x))
 
 
-class TestJvSplit:
-    @pytest.fixture(autouse=True)
-    def own_pool(self, monkeypatch):
-        # a pool made under a patched CPU count is dropped after the test
-        monkeypatch.setattr(billiard, "_bessel_pool", None)
+def _bessel_threads():
+    """The live threads of ``_besselj``'s split."""
+    return [t for t in threading.enumerate() if t.name.startswith("billiardlab-bessel")]
 
+
+class TestJvSplit:
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     @pytest.mark.parametrize(
         "size",
@@ -249,16 +249,16 @@ class TestJvSplit:
         v, x = rng.uniform(0.0, 300.0, size), rng.uniform(0.0, 700.0, size)
         # on the turning point (jv) and one ulp above it (hankel1)
         x[::5], x[1::5] = v[::5], np.nextafter(v[1::5], np.inf)
-        got = billiard._besselj(v, x, np.empty(size))
+        got = billiard._besselj(v, x)
         assert got.shape == (size,) and got.tobytes() == _piecewise_j(v, x).tobytes()
-        # one CPU, or fewer elements than the split threshold, starts no thread
-        assert (billiard._bessel_pool is None) == (cpus == 1 or size < billiard._BESSEL_SPLIT_MIN)
+        # a split call joins its threads before it returns
+        assert _bessel_threads() == []
 
     def test_broadcast_shape_of_mode_amplitudes(self, monkeypatch):
         monkeypatch.setattr(billiard, "_cpu_count", lambda: 2)
         rng = np.random.default_rng(1)
         orders, x = 3.0 * np.arange(1, 1001), rng.uniform(0.0, 700.0, (7, 1000))
-        got = billiard._besselj(orders, x, np.empty(x.shape))
+        got = billiard._besselj(orders, x)
         assert got.shape == (7, 1000) and got.tobytes() == _piecewise_j(orders, x).tobytes()
 
     def test_every_element_counted_once(self, sector, monkeypatch):
@@ -293,13 +293,27 @@ class TestJvSplit:
         assert len(hankel) == 3 and sum(hankel) == above
         assert len(jv_) == 3 and sum(jv_) == 2 * len(spec) - above
 
+    def test_exception_in_a_pool_chunk_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(billiard, "_cpu_count", lambda: 3)
+        real = special.hankel1
+
+        def failing_off_the_calling_thread(v, x):
+            if threading.current_thread() is not threading.main_thread():
+                raise ZeroDivisionError("chunk")
+            return real(v, x)
+
+        monkeypatch.setattr(billiard, "hankel1", failing_off_the_calling_thread)
+        v = np.full(billiard._BESSEL_SPLIT_MIN, 10.0)
+        with pytest.raises(ZeroDivisionError, match="chunk"):
+            billiard._besselj(v, 2.0 * v)
+        assert _bessel_threads() == []
+
     def test_forked_child_after_parent_split(self, sector, monkeypatch):
         if "fork" not in multiprocessing.get_all_start_methods():
             pytest.skip("no fork start method on this platform")
         monkeypatch.setattr(billiard, "_cpu_count", lambda: 2)
         k_max = frequency_to_wavevector(20e9)
         expected = len(sector_eigenvalues(sector, k_max))
-        assert billiard._bessel_pool is not None
         ctx = multiprocessing.get_context("fork")
         queue = ctx.Queue()
         with warnings.catch_warnings():
@@ -390,9 +404,9 @@ class TestWavefunction:
             solved.append((nu, s, keep))
             return keep, z, bessel_next
 
-        def taking(v, x, out):
+        def taking(v, x):
             taken.append(np.array(v, dtype=float))
-            return besselj(v, x, out)
+            return besselj(v, x)
 
         monkeypatch.setattr(billiard, "_bessel_zeros", solving)
         spec = sector_eigenvalues(sector, 2.0 * frequency_to_wavevector(20e9))
@@ -549,6 +563,19 @@ class TestWeylCount:
     def test_fit_weyl_constant_empty(self):
         with pytest.raises(InvalidArgumentError):
             fit_weyl_constant([], 1.0, 1.0)
+
+    def test_corner_constant_60_degrees(self, sector):
+        # 1/9 for the apex, 1/16 for each right-angle corner and 1/36 for the arc curvature
+        params = sector_weyl_params(sector)
+        assert (params.area, params.perimeter) == (sector.area, sector.perimeter)
+        assert params.constant == pytest.approx(19 / 72, rel=1e-15)
+
+    @pytest.mark.parametrize("f_max", [4.6e9, 20e9])
+    def test_corner_constant_centres_the_exact_staircase(self, sector, f_max):
+        # measured: mean(n - 1/2 - N_Weyl(k_n)) = 0.012 (229 levels) and -0.0007 (4604 levels)
+        spec = sector_eigenvalues(sector, frequency_to_wavevector(f_max))
+        n = np.arange(1, len(spec) + 1)
+        assert abs(np.mean(n - 0.5 - weyl_count(spec.values, sector_weyl_params(sector)))) < 0.05
 
     def test_sector_weyl_params_empty_spectrum_rejected(self, sector):
         # a given spectrum is always fitted, so an empty one raises as in fit_weyl_constant

@@ -3,6 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.stats import ks_2samp
 
 from billiardlab.errors import InvalidArgumentError
@@ -73,6 +74,22 @@ class TestClosedForms:
         with mpmath.workdps(40):
             expected = [float(mpmath.mpf(x) / 2 + (1 - mpmath.exp(-4 * mpmath.mpf(x))) / 8) for x in L]
         np.testing.assert_allclose(reference_curve("semi-poisson", "sigma2", L).ordinate, expected, rtol=1e-14)
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_spacing_pdf_normalised_with_unit_mean(self, model):
+        pdf = lambda s: float(spacing_pdf(model, s))
+        assert quad(pdf, 0.0, math.inf)[0] == pytest.approx(1.0, abs=1e-12)
+        assert quad(lambda s: s * pdf(s), 0.0, math.inf)[0] == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_spacing_cdf_is_running_integral_of_pdf(self, model):
+        s = [0.05, 0.3, 1.0, 2.5, 6.0]
+        running = [quad(lambda t: float(spacing_pdf(model, t)), 0.0, x)[0] for x in s]
+        np.testing.assert_allclose(spacing_cdf(model, s), running, rtol=1e-12)
+
+    def test_poisson_sigma2_is_l(self):
+        L = np.array([1e-6, 0.5, 1.0, 7.25, 100.0])
+        assert np.array_equal(reference_curve("poisson", "sigma2", L).ordinate, L)
 
     def test_unknown_model_rejected(self):
         with pytest.raises(InvalidArgumentError):
@@ -213,6 +230,11 @@ class TestSpacingKs:
             ks = ks_distance(cumulative_spacing(u), reference_curve(model, "I", np.sort(u.spacings())))
             assert ks == spacing_ks_frozen(u.spacings(), cdf, rescale=False)
             assert ks == pytest.approx(ecdf_ks(u.spacings(), cdf), abs=1e-15)
+
+    def test_zero_mean_spacing_rejected(self):
+        # equal levels are a valid unfolded spectrum, but 0/0 has no shape to compare
+        with pytest.raises(InvalidArgumentError, match="zero mean spacing"):
+            spacing_ks(UnfoldedSpectrum([np.zeros(5)]), "goe")
 
     def test_no_spacings_rejected(self):
         with pytest.raises(InvalidArgumentError, match="no spacings"):

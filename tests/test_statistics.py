@@ -198,6 +198,19 @@ class TestKsDistance:
         with pytest.raises(InvalidArgumentError):
             ks_distance(good, bad)
 
+    @pytest.mark.parametrize(
+        "absc, ordv",
+        [([0.0, 1.0, 2.0], [0.0, math.nan, 1.0]), ([0.0], [math.nan]), ([0.0, 1.0], [0.0, math.inf])],
+        ids=["inner-nan", "lone-nan", "inf"],
+    )
+    @pytest.mark.parametrize("bad_side", [0, 1])
+    def test_non_finite_ordinate_rejected(self, absc, ordv, bad_side):
+        # NaN compares False with any bound, so a monotonicity check alone lets it through
+        curves = [StatCurve([0.0, 2.0], [0.0, 1.0]), StatCurve([0.0, 2.0], [0.0, 1.0])]
+        curves[bad_side] = StatCurve(absc, ordv)
+        with pytest.raises(InvalidArgumentError, match="not finite"):
+            ks_distance(*curves)
+
     @pytest.mark.parametrize("empty_side", [0, 1])
     def test_empty_curve_rejected(self, empty_side):
         curves = [StatCurve([0.0, 1.0], [0.0, 1.0]), StatCurve([0.0, 1.0], [0.0, 1.0])]
