@@ -419,8 +419,8 @@ def weyl_count(k, params: WeylParams):
     boundary conditions.
     """
     k = np.asarray(k, dtype=float)
-    if np.any(k < 0.0):
-        raise InvalidArgumentError("k must be >= 0")
+    if not np.all((k >= 0.0) & (k < np.inf)):
+        raise InvalidArgumentError("k must be finite and >= 0")
     out = (
         params.area / (4.0 * math.pi) * k**2
         - params.perimeter / (4.0 * math.pi) * k

@@ -285,13 +285,10 @@ def fit_resonances(trace: ComplexTrace, guesses) -> ResonanceSet:
     Guesses whose windows (5 guessed widths either side) overlap or touch are
     fitted jointly; each window carries its own complex constant background
     accounting for the tails of neighbouring resonances.  The squared
-    modulus of (model - data) is minimised jointly over real and imaginary parts by damped
-    least-squares; widths stay within [sample step, window span] through a
-    clipped log reparametrisation.  A window fit stops once an accepted
-    step moves every parameter by less than ``_SE_STEP`` of its standard
-    error, or by less than ``_TOL`` relative to its value (exact models,
-    where the standard errors vanish), or after ``_MAX_ITER`` steps;
-    ``FitReport.message`` names the rule.
+    modulus of (model - data) is minimised jointly over real and imaginary
+    parts by ``_lm_minimise``, which states the width clip and the stopping
+    rules (``_SE_STEP``, ``_TOL`` and ``_MAX_ITER``); ``FitReport.message``
+    names the rule that stopped each window.
 
     A fit that does not converge is returned flagged
     (``Resonance.converged = False``) together with diagnostics in the

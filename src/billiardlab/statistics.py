@@ -1,9 +1,11 @@
-"""Short- and long-range spectral fluctuation measures.
+"""Short- and long-range spectral fluctuation measures of an
+:class:`~billiardlab.unfolding.UnfoldedSpectrum` (levels at unit mean spacing).
 
-All measures operate on :class:`~billiardlab.unfolding.UnfoldedSpectrum`
-objects, i.e. on levels rescaled to unit mean spacing.  Long-range
-statistics average over windows sliding in steps of L/4, swept for all L
-in one chunked pass per complete sequence, and then across sequences.
+The window rule of Sigma^2(L) and Delta3(L): windows of length L start at
+a sequence's first level and slide by L/4 while they fit.  Every sequence
+needs at least 2*max(L) levels and a span above max(L), or
+InvalidArgumentError is raised, so every L has a window in every sequence.
+The windows of all sequences pool with equal weight.
 """
 
 from __future__ import annotations
@@ -31,15 +33,15 @@ __all__ = [
 
 @dataclass
 class StatCurve:
-    """A sampled statistic: abscissa grid, ordinate values, optional counts."""
+    """A sampled statistic with optional counts; finite, 1-D, the abscissa ascending (repeated knots are jumps)."""
 
     abscissa: np.ndarray
     ordinate: np.ndarray
     counts: np.ndarray | None = None
 
     def __post_init__(self):
-        self.abscissa = np.asarray(self.abscissa, dtype=float)
-        self.ordinate = np.asarray(self.ordinate, dtype=float)
+        self.abscissa = as_float_array(self.abscissa, "abscissa")
+        self.ordinate = as_float_array(self.ordinate, "ordinate")
         if self.abscissa.shape != self.ordinate.shape:
             raise InvalidArgumentError("abscissa and ordinate must have equal length")
         check_ascending(self.abscissa, "abscissa", strict=False)
@@ -87,11 +89,11 @@ def cumulative_spacing(u: UnfoldedSpectrum) -> StatCurve:
 # between calls instead of handing them back to the OS to be faulted in anew.
 # An L with more windows is swept in pieces into one buffer of its values.
 _SWEEP_BUDGET = 2**12
-_STRIDE_FRACTION = 0.25  # windows of length L slide in steps of L/4
+_STRIDE_FRACTION = 0.25  # the window stride over L (module docstring)
 
 
 def _window_lengths(u: UnfoldedSpectrum, lengths) -> np.ndarray:
-    """Valid lengths leave every L a window in every sequence: each spans more than max(L)."""
+    """The lengths, checked against the window rule (module docstring)."""
     lengths = as_float_array(lengths, "lengths")
     check_ascending(lengths, "lengths", strict=False)
     if lengths.size == 0 or np.any(lengths <= 0.0):
@@ -103,17 +105,17 @@ def _window_lengths(u: UnfoldedSpectrum, lengths) -> np.ndarray:
     return lengths
 
 
-def _window_sums(sequences, lengths: np.ndarray, stride_fraction: float, statistic):
+def _window_sums(sequences, lengths: np.ndarray, statistic):
     """Per L: sums of a per-window statistic and of the level counts, and the window count.
 
-    Windows of length L start at seq[0] + k * stride_fraction * L while they
-    fit; every sequence spans more than every L (see ``_window_lengths``).
-    ``statistic(seq, lengths)`` returns ``values(starts, lo, hi, L, j)``, a
-    value per window from its start, levels [lo, hi), L and its index j.  All L
-    are laid end to end and located by one searchsorted pair; each L is summed
-    by its own np.add.reduce (np.sum) over its slice, then across sequences.
+    The windows follow the module's window rule for lengths that
+    ``_window_lengths`` accepts.  ``statistic(seq, lengths)`` returns
+    ``values(starts, lo, hi, L, j)``, a value per window from its start,
+    levels [lo, hi), L and its index j.  All L are laid end to end and located
+    by one searchsorted pair; each L is summed by its own np.add.reduce
+    (np.sum) over its slice, then across sequences.
     """
-    strides = stride_fraction * lengths
+    strides = _STRIDE_FRACTION * lengths
     sums, count_sums = np.zeros(lengths.size), np.zeros(lengths.size)
     n_windows = np.zeros(lengths.size, dtype=int)
     for seq in sequences:
@@ -147,20 +149,18 @@ def _sigma2_statistic(seq: np.ndarray, lengths: np.ndarray):
 
 
 def number_variance(u: UnfoldedSpectrum, lengths) -> StatCurve:
-    """Number variance Sigma^2(L) = <(N(L) - L)^2> over sliding windows.
+    """Number variance Sigma^2(L) = <(N(L) - L)^2> over the module's window rule.
 
-    Windows of length L slide in steps of L/4 within each sequence, which
-    must span more than max(L); window results are pooled across sequences
-    with equal weight per window.  One :class:`QualityWarning` names every L whose mean
-    count is off L by more than 5% of L and more than z standard errors,
-    sqrt(var(N) L / span) with span summed over the sequences (windows of one
-    L are independent about once per L): correct spans, off by sqrt(levels), pass.
-    z is Bonferroni's bound for the K lengths, -ndtri(ndtr(-3) / K), 3 for one
+    One :class:`QualityWarning` names every L whose mean count is off L by
+    more than 5% of L and more than z standard errors, sqrt(var(N) L / span)
+    with span summed over the sequences (windows of one L are independent
+    about once per L): correct spans, off by sqrt(levels), pass.  z is
+    Bonferroni's bound for the K lengths, -ndtri(ndtr(-3) / K), 3 for one
     length and 4.0 for 40, so a whole call warns on a correct sequence about
     as often as one two-sided 3-sigma test, 0.27% of the time.
     """
     lengths = _window_lengths(u, lengths)
-    sq_sums, count_sums, n_windows = _window_sums(u.sequences, lengths, _STRIDE_FRACTION, _sigma2_statistic)
+    sq_sums, count_sums, n_windows = _window_sums(u.sequences, lengths, _sigma2_statistic)
     curve = StatCurve(lengths, sq_sums / n_windows, n_windows)
     deviation = np.abs(count_sums / n_windows - lengths)
     span = sum(seq[-1] - seq[0] for seq in u.sequences)
@@ -216,11 +216,10 @@ def dyson_mehta(u: UnfoldedSpectrum, lengths) -> StatCurve:
 
     Per window the minimising straight line is obtained in closed form
     from the piecewise-analytic integrals of the staircase; the quadratic
-    deviation is averaged over windows sliding in steps of L/4 within each
-    sequence, which must span more than max(L), and over sequences.
+    deviation is averaged over the windows of the module's window rule.
     """
     lengths = _window_lengths(u, lengths)
-    sums, _, n_windows = _window_sums(u.sequences, lengths, _STRIDE_FRACTION, _delta3_statistic)
+    sums, _, n_windows = _window_sums(u.sequences, lengths, _delta3_statistic)
     return StatCurve(lengths, sums / n_windows, n_windows)
 
 
@@ -245,15 +244,17 @@ def _sided_values(grid: np.ndarray, absc: np.ndarray, ordv: np.ndarray):
 def ks_distance(empirical: StatCurve, reference: StatCurve) -> float:
     """Sup-norm distance between two cumulative curves.
 
-    Both inputs must be finite and (weakly) monotone.  Both are linear
-    between their knots, repeated abscissa points encoding jumps, so the
-    supremum sits at a one-sided limit on a knot: comparing the one-sided
-    limits of each curve over the union of the two grids gives it exactly.
+    Both curves must be cumulatives: non-empty, with an ordinate monotone
+    to within 1e-12 (a :class:`StatCurve` is finite by construction).  Both
+    are linear between their knots, repeated abscissa points encoding jumps,
+    so the supremum sits at a one-sided limit on a knot: comparing the
+    one-sided limits of each curve over the union of the two grids gives it
+    exactly.
     """
     for name, curve in (("empirical", empirical), ("reference", reference)):
         o = curve.ordinate
-        if o.size == 0 or not np.all(np.isfinite(o)) or np.any(np.diff(o) < -1e-12):
-            raise InvalidArgumentError(f"{name} curve is empty, not finite or not monotone, not a cumulative")
+        if o.size == 0 or np.any(np.diff(o) < -1e-12):
+            raise InvalidArgumentError(f"{name} curve is empty or not monotone, not a cumulative")
     grid = np.union1d(empirical.abscissa, reference.abscissa)
     e_lo, e_hi = _sided_values(grid, empirical.abscissa, empirical.ordinate)
     r_lo, r_hi = _sided_values(grid, reference.abscissa, reference.ordinate)

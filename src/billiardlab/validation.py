@@ -41,11 +41,10 @@ def as_complex_array(x, name: str) -> np.ndarray:
 
 
 def check_ascending(arr: np.ndarray, name: str, strict: bool = True) -> None:
+    """Raise unless ``arr`` ascends (strictly if ``strict``); a NaN fails either comparison."""
     d = np.diff(arr)
-    if strict and np.any(d <= 0):
-        raise InvalidArgumentError(f"{name} must be strictly ascending")
-    if not strict and np.any(d < 0):
-        raise InvalidArgumentError(f"{name} must be ascending")
+    if not np.all(d > 0 if strict else d >= 0):
+        raise InvalidArgumentError(f"{name} must be {'strictly ascending' if strict else 'ascending'}")
 
 
 def check_positive(x, name: str) -> float:

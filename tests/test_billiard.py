@@ -254,6 +254,14 @@ class TestJvSplit:
         # a split call joins its threads before it returns
         assert _bessel_threads() == []
 
+    def test_cpu_count_without_affinity(self, monkeypatch):
+        # where os has no sched_getaffinity, the count is os.cpu_count(), or 1 if that is unknown
+        monkeypatch.delattr(billiard.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(billiard.os, "cpu_count", lambda: 5)
+        assert billiard._cpu_count() == 5
+        monkeypatch.setattr(billiard.os, "cpu_count", lambda: None)
+        assert billiard._cpu_count() == 1
+
     def test_broadcast_shape_of_mode_amplitudes(self, monkeypatch):
         monkeypatch.setattr(billiard, "_cpu_count", lambda: 2)
         rng = np.random.default_rng(1)
@@ -560,6 +568,12 @@ class TestWeylCount:
         with pytest.raises(InvalidArgumentError):
             weyl_count(-1.0, sector_weyl_46)
 
+    @pytest.mark.parametrize("k", [math.nan, [1.0, math.nan], math.inf, [2.0, math.inf]])
+    def test_non_finite_k_rejected(self, k):
+        # NaN compares False with any bound, so a sign check alone lets it through
+        with pytest.raises(InvalidArgumentError, match="k must be finite and >= 0"):
+            weyl_count(k, WeylParams(1.0, 1.0))
+
     def test_fit_weyl_constant_empty(self):
         with pytest.raises(InvalidArgumentError):
             fit_weyl_constant([], 1.0, 1.0)
@@ -600,6 +614,11 @@ class TestScattererValidation:
         b = DiskScatterer((0.51, 0.2), 0.02)
         with pytest.raises(InvalidArgumentError):
             validate_scatterers(sector, [a, b])
+
+    @pytest.mark.parametrize("center", [(0.3, -0.1), (0.2, 0.5), (-0.5, 0.0)], ids=["below", "above", "behind"])
+    def test_centre_outside_angle_rejected(self, sector, center):
+        with pytest.raises(InvalidArgumentError, match="outside the sector"):
+            validate_scatterers(sector, [DiskScatterer(center, 0.01)])
 
     def test_sector_wider_than_pi(self):
         geom = SectorGeometry(radius=1.0, angle=1.5 * math.pi)

@@ -157,6 +157,28 @@ def test_deflated_gap_against_mpmath(apex):
             assert below > 0 > above
 
 
+def test_root_on_its_pole_within_one_ulp(sector):
+    # 20 GHz base to 2 k_max at the scatterer position of the sector-20ghz
+    # benchmark's seed 45.  Gap 3270 lies between the near-degenerate poles
+    # E = 125215.62788 and 125215.73254, of weights 2.5e-10 and 2.0, so its root
+    # lies within an ulp of k above the left pole and the returned level equals
+    # that pole's k bitwise.  At 60 digits the secular function is positive just
+    # above the pole and negative at the next double of k: the true root lies
+    # between the two, so the level is within one ulp of it.  Measured: +2.0e15
+    # at E (1 + 1e-30) and -12.5 at the next double; the solve took 0.16 s.
+    k_max = frequency_to_wavevector(20e9)
+    base = sector_eigenvalues(sector, 2.0 * k_max)
+    w = mode_intensities_at(sector, base, 0.64029252262779, 0.4001139645806808)
+    k = base.values
+    assert w[3270] < 1e-9 < 1.0 < w[3271] and k[3271] ** 2 - k[3270] ** 2 < 0.2
+    got = point_scatterer_spectrum(base, w, 5.0, k_max).values
+    assert np.count_nonzero(got == k[3270]) == 1
+    h = secular_function_mp(k, w, 5.0)
+    with mpmath.workdps(60):
+        assert h(mpmath.mpf(float(k[3270])) ** 2 * (1 + mpmath.mpf("1e-30"))) > 0
+        assert h(mpmath.mpf(float(np.nextafter(k[3270], np.inf))) ** 2) < 0
+
+
 def test_nonconvergence_raises(base, intensities, monkeypatch):
     monkeypatch.setattr(billiard, "_MAX_ITER", 1)
     with pytest.raises(NumericalError):

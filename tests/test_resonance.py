@@ -384,6 +384,32 @@ class TestStoppingRules:
         assert fitted.reports[0].converged
         assert "standard errors" in fitted.reports[0].message
 
+    def test_damping_overflow_is_reported(self, monkeypatch):
+        # no solve succeeds, so no step is tried: the damping grows past its cap and the fit returns flagged
+        def no_solution(a, b):
+            raise np.linalg.LinAlgError("singular matrix")
+
+        f = np.linspace(0.99e9, 1.01e9, 2000)
+        trace = breit_wigner_model([Resonance(1e9, 1e6, 0.2e6)], False, f, background=0.05 - 0.02j)
+        guesses = detect_peaks(trace, prominence=0.05)
+        monkeypatch.setattr(resonance.np.linalg, "solve", no_solution)
+        fitted = fit_resonances(trace, guesses)
+        report = fitted.reports[0]
+        assert not report.converged and not fitted.resonances[0].converged and report.iterations == 0
+        assert report.message == "damping overflow: no descent direction found"
+
+    def test_singular_normal_matrix_gives_nan_errors(self, monkeypatch):
+        def singular(a):
+            raise np.linalg.LinAlgError("singular matrix")
+
+        f = np.linspace(0.99e9, 1.01e9, 2000)
+        trace = breit_wigner_model([Resonance(1e9, 1e6, 0.2e6)], False, f, background=0.05 - 0.02j)
+        monkeypatch.setattr(resonance.np.linalg, "inv", singular)
+        fitted = fit_resonances(trace, detect_peaks(trace, prominence=0.05))
+        r = fitted.resonances[0]
+        assert fitted.reports[0].converged and r.converged
+        assert math.isnan(r.center_error) and math.isnan(r.width_error) and math.isnan(r.amplitude_error)
+
     def test_max_iter_is_reported(self, monkeypatch):
         f = np.linspace(0.99e9, 1.01e9, 2000)
         trace = breit_wigner_model([Resonance(1e9, 1e6, 0.2e6)], False, f, background=0.05 - 0.02j)

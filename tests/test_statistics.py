@@ -207,9 +207,14 @@ class TestKsDistance:
     def test_non_finite_ordinate_rejected(self, absc, ordv, bad_side):
         # NaN compares False with any bound, so a monotonicity check alone lets it through
         curves = [StatCurve([0.0, 2.0], [0.0, 1.0]), StatCurve([0.0, 2.0], [0.0, 1.0])]
-        curves[bad_side] = StatCurve(absc, ordv)
-        with pytest.raises(InvalidArgumentError, match="not finite"):
+        with pytest.raises(InvalidArgumentError, match="non-finite"):
+            curves[bad_side] = StatCurve(absc, ordv)
             ks_distance(*curves)
+
+    def test_nan_abscissa_rejected_when_built(self):
+        # NaN passes any sign test on np.diff, so this curve once reached ks_distance and gave 0.5
+        with pytest.raises(InvalidArgumentError, match="abscissa contains non-finite"):
+            ks_distance(StatCurve([0.0, math.nan, 2.0], [0.0, 0.5, 1.0]), StatCurve([0.0, 2.0], [0.0, 1.0]))
 
     @pytest.mark.parametrize("empty_side", [0, 1])
     def test_empty_curve_rejected(self, empty_side):
@@ -277,7 +282,7 @@ def unequal_sequences():
 
 def assert_sweep_matches_frozen(sequences, lengths, stride_fraction):
     for statistic, frozen in ((_sigma2_statistic, number_variance_frozen), (_delta3_statistic, dyson_mehta_frozen)):
-        sums, _, n_windows = _window_sums(sequences, lengths, stride_fraction, statistic)
+        sums, _, n_windows = _window_sums(sequences, lengths, statistic)
         ordinate, frozen_windows = frozen(sequences, lengths, stride_fraction)
         assert np.array_equal(n_windows, frozen_windows)
         assert np.array_equal(sums / n_windows, ordinate)
@@ -300,7 +305,8 @@ class TestWindowSweep:
             assert np.array_equal(curve.counts, n_windows)
 
     @pytest.mark.parametrize("stride_fraction", [0.25, 0.4])
-    def test_unsorted_and_repeated_lengths(self, stride_fraction):
+    def test_unsorted_and_repeated_lengths(self, stride_fraction, monkeypatch):
+        monkeypatch.setattr(statistics, "_STRIDE_FRACTION", stride_fraction)
         lengths = np.array([7.0, 0.5, 20.0, 0.3, 0.5, 3.3, 44.0, 7.0])
         assert_sweep_matches_frozen(unequal_sequences(), lengths, stride_fraction)
 
@@ -359,7 +365,7 @@ class TestWindowPolicy:
         u = UnfoldedSpectrum(sequences)
         assert np.array_equal(statistics._window_lengths(u, lengths), lengths)
         for seq in sequences:
-            assert np.all(_window_sums([seq], lengths, statistics._STRIDE_FRACTION, _sigma2_statistic)[2] >= 1)
+            assert np.all(_window_sums([seq], lengths, _sigma2_statistic)[2] >= 1)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", QualityWarning)
             s2 = number_variance(u, lengths)

@@ -12,7 +12,7 @@ from billiardlab.reference import generate_reference_sequence
 from billiardlab.resonance import ComplexTrace
 from billiardlab.statistics import StatCurve
 from billiardlab.unfolding import missing_level_scan
-from billiardlab.validation import as_float_array
+from billiardlab.validation import as_float_array, check_ascending
 
 _BASE = WavevectorSpectrum([1.0, 2.0, 3.0])
 
@@ -22,6 +22,11 @@ _REJECTED = {
     "inf-in-float-array": (lambda: as_float_array([-math.inf, 1.0], "x"), "non-finite"),
     "2-d-float-array": (lambda: as_float_array(np.zeros((2, 2)), "x"), "1-dimensional"),
     "0-d-float-array": (lambda: as_float_array(1.0, "x"), "1-dimensional"),
+    "nan-in-ascending-check": (lambda: check_ascending(np.array([0.0, math.nan, 2.0]), "x", False), "x must be ascending"),
+    "nan-in-strictly-ascending-check": (
+        lambda: check_ascending(np.array([0.0, math.nan, 2.0]), "x"),
+        "x must be strictly ascending",
+    ),
     "zero-spectrum-value": (lambda: WavevectorSpectrum([0.0, 1.0]), "positive"),
     "negative-spectrum-value": (lambda: WavevectorSpectrum([-1.0, 1.0]), "positive"),
     "labels-of-wrong-length": (lambda: WavevectorSpectrum([1.0, 2.0], labels=[(1, 1)]), "length of values"),
