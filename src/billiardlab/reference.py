@@ -64,9 +64,9 @@ def _check_model(model: str) -> None:
 
 
 def spacing_pdf(model: str, s) -> np.ndarray:
-    """P(s) for unit mean spacing: e^-s, Wigner surmise, or 4 s e^-2s."""
+    """P(s) for unit mean spacing: e^-s, Wigner surmise or 4 s e^-2s; s is clipped at 1e3 (P is 0 beyond s = 746)."""
     _check_model(model)
-    s = np.asarray(s, dtype=float)
+    s = np.minimum(np.asarray(s, dtype=float), 1e3)
     if model == "poisson":
         return np.exp(-s)
     if model == "goe":
@@ -75,9 +75,9 @@ def spacing_pdf(model: str, s) -> np.ndarray:
 
 
 def spacing_cdf(model: str, s) -> np.ndarray:
-    """I(s), the cumulative of :func:`spacing_pdf`."""
+    """I(s), the cumulative of :func:`spacing_pdf`; s is clipped at 1e3 (I is 1 beyond s = 38)."""
     _check_model(model)
-    s = np.asarray(s, dtype=float)
+    s = np.minimum(np.asarray(s, dtype=float), 1e3)
     if model == "poisson":
         return 1.0 - np.exp(-s)
     if model == "goe":

@@ -89,6 +89,14 @@ class TestClosedForms:
         running = [quad(lambda t: float(spacing_pdf(model, t)), 0.0, x)[0] for x in s]
         np.testing.assert_allclose(spacing_cdf(model, s), running, rtol=1e-12)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("model", MODELS)
+    @pytest.mark.parametrize("statistic, limit", [("P", 0.0), ("I", 1.0)])
+    def test_huge_spacings_give_the_limit_without_overflow(self, model, statistic, limit):
+        # s**2 (GOE) and 4 * s (semi-Poisson) would overflow without the clip at s = 1e3
+        curve = reference_curve(model, statistic, [0.0, 1.0, 1e3, 1e200, 1e308])
+        assert np.array_equal(curve.ordinate[2:], [limit] * 3)
+
     def test_poisson_sigma2_is_l(self):
         L = np.array([1e-6, 0.5, 1.0, 7.25, 100.0])
         assert np.array_equal(reference_curve("poisson", "sigma2", L).ordinate, L)

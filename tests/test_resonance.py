@@ -243,8 +243,11 @@ class TestClusterGuesses:
         index = {id(g): i for i, g in enumerate(guesses)}
         lo = [g.center - half_width * g.width for g in guesses]
         hi = [g.center + half_width * g.width for g in guesses]
-        assert {frozenset(index[id(g)] for g in c) for c in clusters} == overlap_components(lo, hi)
-        centers = [g.center for c in clusters for g in c]
+        assert {frozenset(index[id(g)] for g in c) for c, _, _ in clusters} == overlap_components(lo, hi)
+        # the returned span is the min and max of the group's own windows: fit_resonances fits on it
+        for c, c_lo, c_hi in clusters:
+            assert (c_lo, c_hi) == (min(lo[index[id(g)]] for g in c), max(hi[index[id(g)]] for g in c))
+        centers = [g.center for c, _, _ in clusters for g in c]
         assert len(centers) == len(guesses) and centers == sorted(centers)
 
 
@@ -278,7 +281,7 @@ class TestFitOracle:
         rng = np.random.default_rng(5)
         trace = spaced_trace(rng, 16, noise)
         guesses = detect_peaks(trace, prominence=0.01)
-        clusters = _cluster_guesses(guesses, 5.0)[:12]
+        clusters = [c for c, _, _ in _cluster_guesses(guesses, 5.0)][:12]
         assert len(clusters) == 12 and any(len(c) == 2 for c in clusters)
         worst = 0.0
         for cluster in clusters:

@@ -73,6 +73,17 @@ class TestStrengthSamplesOracle:
 
 
 class TestK0Pdf:
+    @pytest.mark.filterwarnings("error")
+    def test_zero_where_k0_is_inf_or_root_u_overflows(self):
+        # sqrt(u) = 10^(z/2) is 0 below z = -647.2, where K0 is inf; K0 is inf also at the smallest
+        # subnormal (z up to -646.26); 10^(z/2) overflows above z = 616.5. The density is 0 at all of them
+        z = [-1e300, -700.0, -647.0, -646.5, 617.0, 700.0, 1e300]
+        assert np.array_equal(k0_strength_pdf(z).ordinate, np.zeros(len(z)))
+        # where the product ln(10)/pi * sqrt(u) * K0(sqrt(u)) is finite it is kept, in this order, bit for bit
+        z = np.linspace(-646.0, 616.0, 100_001)
+        root_u = np.power(10.0, 0.5 * z)
+        assert np.array_equal(k0_strength_pdf(z).ordinate, math.log(10.0) / math.pi * root_u * k0(root_u))
+
     def test_normalisation(self):
         val, _ = quad(
             lambda z: float(k0_strength_pdf([z]).ordinate[0]), -60.0, 8.0, limit=300
