@@ -25,7 +25,7 @@ import numpy as np
 from scipy.special import ai_zeros, hankel1, jv
 
 from .errors import InvalidArgumentError, NumericalError, QualityWarning
-from .validation import as_float_array, check_ascending, check_positive
+from .validation import as_float_array, check_ascending, check_count, check_positive
 
 __all__ = [
     "SectorGeometry",
@@ -247,14 +247,14 @@ def _zero_seeds(nu: np.ndarray, s: np.ndarray) -> np.ndarray:
     return seed
 
 
-def _bessel_zeros(nu: np.ndarray, s: np.ndarray, reach: float = math.inf):
-    """Zeros j_{nu,s} of the candidates whose seed lies below ``reach``.
+def _bessel_zeros(nu: np.ndarray, s: np.ndarray):
+    """Zeros j_{nu,s} of every candidate (nu, s), and J_{nu+1} there.
 
-    The candidates come order by order, s = 1, 2, ... within each order.
-    From the seeds of ``_zero_seeds`` every entry takes Halley steps, with
+    The candidates come order by order, s = 1, 2, ... within each order, and
+    all are solved: the caller cuts the zeros it needs.  From the seeds of
+    ``_zero_seeds`` every entry takes Halley steps, with
     J' = (nu/z) J_nu - J_{nu+1} and J'' from Bessel's equation, until the
-    step predicts an error below one ulp.  Returns the mask of kept
-    candidates, their zeros and J_{nu+1} there.  Raises NumericalError after
+    step predicts an error below one ulp.  Raises NumericalError after
     ``_HALLEY_MAX_ITER`` steps, or when an order's zeros are not ascending
     more than pi/2 apart (a seed converged to its neighbour's zero).
 
@@ -268,8 +268,6 @@ def _bessel_zeros(nu: np.ndarray, s: np.ndarray, reach: float = math.inf):
     samples and 1e-14 at three far-field levels of the 20 GHz base.
     """
     z = _zero_seeds(nu, s)
-    keep = z <= reach
-    nu, s, z = nu[keep], s[keep], z[keep]
     # the last Halley point of each entry, with J_nu and J_{nu+1} there
     at, j0, j1 = np.empty(z.size), np.empty(z.size), np.empty(z.size)
     todo, steps = np.arange(z.size), 0
@@ -301,7 +299,7 @@ def _bessel_zeros(nu: np.ndarray, s: np.ndarray, reach: float = math.inf):
     d1 = j0 - mu / at * j1
     d2 = -d1 / at - a * j1
     d3 = -d2 / at + d1 / at**2 - a * d1 - 2.0 * mu**2 / at**3 * j1
-    return keep, z, j1 + h * (d1 + h * (0.5 * d2 + h * d3 / 6.0))
+    return z, j1 + h * (d1 + h * (0.5 * d2 + h * d3 / 6.0))
 
 
 def bessel_order_zeros(order: float, count: int) -> np.ndarray:
@@ -315,10 +313,8 @@ def bessel_order_zeros(order: float, count: int) -> np.ndarray:
     order = float(order)
     if not math.isfinite(order) or order < 0.0:
         raise InvalidArgumentError(f"order must be finite and >= 0, got {order!r}")
-    count = int(count)
-    if count < 1:
-        raise InvalidArgumentError("count must be >= 1")
-    return _bessel_zeros(np.full(count, order), np.arange(1, count + 1))[1]
+    count = check_count(count, "count", 1)
+    return _bessel_zeros(np.full(count, order), np.arange(1, count + 1))[0]
 
 
 # ----------------------------------------------------------------------
@@ -344,7 +340,7 @@ def sector_eigenvalues(geom: SectorGeometry, k_max: float) -> WavevectorSpectrum
     """
     k_max = check_positive(k_max, "k_max")
     x_max = k_max * geom.radius
-    reach = x_max + 1.0  # seeds lie well within 1 of their zeros
+    reach = x_max + 1.0  # where the orders and zero counts are taken; the zeros are cut at x_max
     m = np.arange(1, math.ceil(reach / _bessel_orders(geom, 1)))  # zeros of J_nu exceed nu
     nu = _bessel_orders(geom, m)
     # J_nu has about phase/pi + 1/4 zeros below reach (Debye); two more cover the error
@@ -352,10 +348,10 @@ def sector_eigenvalues(geom: SectorGeometry, k_max: float) -> WavevectorSpectrum
     count = (reach * (np.sqrt(1.0 - c * c) - c * np.arccos(c)) / math.pi + 0.25).astype(np.intp) + 2
     m = np.repeat(m, count)
     s = np.arange(m.size) - np.repeat(np.cumsum(count) - count, count) + 1
-    keep, zeros, bessel_next = _bessel_zeros(np.repeat(nu, count), s, reach)
+    zeros, bessel_next = _bessel_zeros(np.repeat(nu, count), s)
     idx = np.argsort(zeros, kind="stable")
     idx = idx[zeros[idx] <= x_max]
-    labels = list(zip(m[keep][idx].tolist(), s[keep][idx].tolist()))
+    labels = list(zip(m[idx].tolist(), s[idx].tolist()))
     return WavevectorSpectrum(zeros[idx] / geom.radius, labels, bessel_next[idx])
 
 
@@ -413,11 +409,9 @@ def mode_intensities_at(
 # ----------------------------------------------------------------------
 
 def weyl_count(k, params: WeylParams):
-    """Smooth counting function (A/4pi) k^2 - (P/4pi) k + C.
-
-    The perimeter term carries the minus sign appropriate for Dirichlet
-    boundary conditions.
-    """
+    """Smooth counting function (A/4pi) k^2 - (P/4pi) k + C, with the minus
+    sign of Dirichlet boundary conditions on the perimeter term.  Returns an
+    array for array k and a numpy float64 (a ``float``) for scalar k."""
     k = np.asarray(k, dtype=float)
     if not np.all((k >= 0.0) & (k < np.inf)):
         raise InvalidArgumentError("k must be finite and >= 0")
@@ -426,7 +420,7 @@ def weyl_count(k, params: WeylParams):
         - params.perimeter / (4.0 * math.pi) * k
         + params.constant
     )
-    return float(out) if out.ndim == 0 else out
+    return out
 
 
 def fit_weyl_constant(values, area: float, perimeter: float) -> WeylParams:
@@ -497,10 +491,10 @@ def _barycentric(x: np.ndarray, values: np.ndarray) -> np.ndarray:
     return (c @ values) / c.sum(axis=1, keepdims=True)
 
 
-def _window(E, g0: int, g1: int, reach: int) -> tuple:
-    """The poles within ``reach`` gaps of the gaps g0 to g1 - 1, as E[n0:n1],
+def _window(E, g0: int, g1: int, margin: int) -> tuple:
+    """The poles within ``margin`` gaps of the gaps g0 to g1 - 1, as E[n0:n1],
     and the centre and half-width of [E[g0], E[g1]]: (n0, n1, centre, half)."""
-    n0, n1 = max(g0 - reach, 0), min(g1 + 1 + reach, E.size)
+    n0, n1 = max(g0 - margin, 0), min(g1 + 1 + margin, E.size)
     return n0, n1, 0.5 * (E[g1] + E[g0]), 0.5 * (E[g1] - E[g0])
 
 

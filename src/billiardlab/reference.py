@@ -42,7 +42,7 @@ from scipy.linalg import eigvalsh_tridiagonal
 from .errors import InvalidArgumentError
 from .statistics import StatCurve, _step_curve, ks_distance
 from .unfolding import UnfoldedSpectrum
-from .validation import as_float_array
+from .validation import as_float_array, check_count
 
 __all__ = [
     "MODELS",
@@ -146,12 +146,12 @@ def _semicircle_counting(eigenvalues: np.ndarray, n: int) -> np.ndarray:
 def generate_reference_sequence(model: str, n_levels: int, seed=None, sequences: int = 1) -> UnfoldedSpectrum:
     """Random unfolded sequences following one of the reference models.
 
-    poisson
-        Cumulative sums of unit-mean exponential gaps.
-    semi-poisson
-        Every second level of a Poisson sequence, spacings rescaled by the
-        exact factor 2 (the construction reproduces P(s) = 4 s e^-2s
-        exactly in distribution).
+    poisson, semi-poisson
+        Renewal processes: cumulative sums of gaps that are each the mean
+        of a unit exponentials, a = 1 for Poisson and a = 2 for
+        semi-Poisson.  The gaps are Gamma(a)/a with unit mean, so P(s) is
+        e^-s and 4 s e^-2s exactly in distribution (semi-Poisson is every
+        second level of a Poisson sequence, rescaled by 2).
     goe
         Eigenvalues of the tridiagonal GOE model of Dumitriu and Edelman
         (J. Math. Phys. 43, 5830 (2002)) of dimension N = 2*n_levels:
@@ -161,23 +161,17 @@ def generate_reference_sequence(model: str, n_levels: int, seed=None, sequences:
         integrated semicircle law of radius 1.
     """
     _check_model(model)
-    n_levels = int(n_levels)
-    if n_levels < 2:
-        raise InvalidArgumentError("n_levels must be >= 2")
-    sequences = int(sequences)
-    if sequences < 1:
-        raise InvalidArgumentError("sequences must be >= 1")
+    n_levels = check_count(n_levels, "n_levels", 2)
+    sequences = check_count(sequences, "sequences", 1)
     rng = np.random.default_rng(seed)
     out: list[np.ndarray] = []
     for _ in range(sequences):
-        if model == "poisson":
-            out.append(np.cumsum(rng.exponential(1.0, n_levels)))
-        elif model == "semi-poisson":
-            gaps = rng.exponential(1.0, 2 * n_levels).reshape(n_levels, 2).sum(axis=1)
-            out.append(np.cumsum(0.5 * gaps))
-        else:
+        if model == "goe":
             central = _goe_eigenvalues(rng, 2 * n_levels)[n_levels // 2 : n_levels // 2 + n_levels]
             out.append(_semicircle_counting(central, 2 * n_levels))
+        else:
+            a = 2 if model == "semi-poisson" else 1
+            out.append(np.cumsum(rng.exponential(1.0, (n_levels, a)).sum(axis=1) / a))
     return UnfoldedSpectrum(out)
 
 

@@ -144,10 +144,9 @@ def detect_peaks(trace: ComplexTrace, prominence: float) -> list[Resonance]:
     sigma = median|diff(S)| / (1.1774 * sqrt(2)) (the median of a Rayleigh
     variable with sigma*sqrt(2) per quadrature).  A peak is kept when its
     prominence reaches max(``prominence``, 8 sigma) and it is at least 2
-    samples wide at half prominence, so noise spikes are dropped.  The first
-    call imports ``scipy.signal`` (0.55-0.66 s on a 2-vCPU VM), which nothing else needs.
+    samples wide at half prominence, so noise spikes are dropped.  Past these
+    checks the first call imports ``scipy.signal`` (0.55-0.66 s, 2-vCPU VM), which nothing else needs.
     """
-    from scipy.signal import find_peaks
     if len(trace) <= 10:
         raise InvalidArgumentError("trace must be longer than 10 samples")
     prominence = check_positive(prominence, "prominence")
@@ -155,6 +154,7 @@ def detect_peaks(trace: ComplexTrace, prominence: float) -> list[Resonance]:
     step = (f[-1] - f[0]) / (len(trace) - 1)
     if np.any(np.abs(np.diff(f) - step) > 1e-6 * step):
         raise InvalidArgumentError("detect_peaks needs a uniform frequency grid")
+    from scipy.signal import find_peaks
     sigma = float(np.median(np.abs(np.diff(trace.values)))) / (1.1774 * math.sqrt(2.0))
     mag = np.abs(trace.values)
     signal = -mag if trace.is_diagonal else mag
@@ -341,11 +341,11 @@ class StrengthSample:
 def strength_samples(resonances) -> list[StrengthSample]:
     """Strengths y = amplitude^2 normalised by a running local mean.
 
-    The local mean <y> runs over the 10 resonances nearest in frequency
-    (window clamped at the ends), and z = log10(y/<y>).  The local
-    normalisation makes z invariant under any global rescaling of the
-    amplitudes.  Zero amplitudes carry no strength information and are
-    dropped with a :class:`QualityWarning`.
+    The local mean <y> runs over 10 consecutive resonances in centre order,
+    5 below to 4 above each, shifted inward at the ends (all of them if
+    fewer than 10), and z = log10(y/<y>).  The local normalisation makes z
+    invariant under any global rescaling of the amplitudes.  Zero amplitudes
+    carry no strength information and are dropped with a :class:`QualityWarning`.
     """
     res = sorted(resonances, key=lambda r: r.center)
     y = np.array([r.amplitude**2 for r in res])

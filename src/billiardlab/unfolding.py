@@ -9,7 +9,7 @@ import numpy as np
 
 from .billiard import WavevectorSpectrum, WeylParams, weyl_count
 from .errors import InvalidArgumentError, QualityWarning
-from .validation import as_float_array, check_ascending
+from .validation import as_float_array, check_ascending, check_count
 
 __all__ = [
     "UnfoldedSpectrum",
@@ -98,9 +98,7 @@ def missing_level_scan(values, params: WeylParams, window: int = 20) -> list[Mis
     """
     k = as_float_array(values, "values")
     check_ascending(k, "values", strict=False)
-    window = int(window)
-    if window < 1:
-        raise InvalidArgumentError("window must be >= 1")
+    window = check_count(window, "window", 1)
     if k.size < 3 * window:
         raise InvalidArgumentError("need at least 3*window levels")
     n = np.arange(1, k.size + 1)

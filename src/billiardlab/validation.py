@@ -9,6 +9,7 @@ the offending argument.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -18,6 +19,7 @@ __all__ = [
     "as_float_array",
     "as_complex_array",
     "check_ascending",
+    "check_count",
     "check_positive",
 ]
 
@@ -53,3 +55,10 @@ def check_positive(x, name: str) -> float:
     if not (0.0 < x < math.inf):
         raise InvalidArgumentError(f"{name} must be finite and positive, got {x!r}")
     return x
+
+
+def check_count(x, name: str, minimum: int) -> int:
+    """``x`` as an int; it must be a ``numbers.Integral`` >= ``minimum`` (2.5 or "3" raise)."""
+    if not isinstance(x, numbers.Integral) or x < minimum:
+        raise InvalidArgumentError(f"{name} must be >= {minimum} and an integer, got {x!r}")
+    return int(x)

@@ -165,6 +165,25 @@ class TestSectorEigenvalues:
         for m, zeros in expected.items():
             np.testing.assert_allclose(by_m[m], zeros, rtol=1e-13)
 
+    def test_sector_wider_than_pi_against_mpmath(self):
+        # angle 1.5 pi: the order 2/3 of m = 1 lies below 1 and takes McMahon seeds
+        # (measured: 12 zeros each, equal to mpmath rounded to double; the next
+        # zeros are 41.10 and 42.13, and the staircase mean is 0.0026 over 279 levels)
+        geom = SectorGeometry(radius=1.0, angle=1.5 * math.pi)
+        spec = sector_eigenvalues(geom, 40.0)
+        with mpmath.workdps(30):
+            for m in (1, 2):
+                # the order in double, as the code takes it, converted exactly
+                order = mpmath.mpf(m * (math.pi / geom.angle))
+                nus = [nu for mm, nu in spec.labels if mm == m]
+                zeros = spec.values[[mm == m for mm, _ in spec.labels]]
+                assert nus == list(range(1, len(nus) + 1))
+                expected = [float(mpmath.besseljzero(order, s)) for s in range(1, len(nus) + 2)]
+                np.testing.assert_allclose(zeros, expected[:-1], rtol=1e-13)
+                assert expected[-1] > 40.0  # the order is complete below k_max R
+        n = np.arange(1, len(spec) + 1)
+        assert abs(np.mean(n - 0.5 - weyl_count(spec.values, sector_weyl_params(geom)))) < 0.05
+
     def test_invalid_k_max(self, sector):
         with pytest.raises(InvalidArgumentError):
             sector_eigenvalues(sector, 0.0)
@@ -407,10 +426,9 @@ class TestWavefunction:
         solved, taken = [], []
         zeros, besselj = billiard._bessel_zeros, billiard._besselj
 
-        def solving(nu, s, reach=math.inf):
-            keep, z, bessel_next = zeros(nu, s, reach)
-            solved.append((nu, s, keep))
-            return keep, z, bessel_next
+        def solving(nu, s):
+            solved.append((nu, s))
+            return zeros(nu, s)
 
         def taking(v, x):
             taken.append(np.array(v, dtype=float))
@@ -418,9 +436,9 @@ class TestWavefunction:
 
         monkeypatch.setattr(billiard, "_bessel_zeros", solving)
         spec = sector_eigenvalues(sector, 2.0 * frequency_to_wavevector(20e9))
-        (nu, s, keep), = solved
+        (nu, s), = solved
         m = np.cumsum(np.r_[True, nu[1:] != nu[:-1]])  # the candidates come order by order
-        by_label = dict(zip(zip(m[keep].tolist(), s[keep].tolist()), nu[keep]))
+        by_label = dict(zip(zip(m.tolist(), s.tolist()), nu))
         expected = np.array([by_label[label] for label in spec.labels])
         monkeypatch.setattr(billiard, "_besselj", taking)
         mode_amplitudes(sector, spec, 0.64, 0.40)

@@ -36,6 +36,29 @@ def test_import_loads_no_unused_scipy_module():
     assert result["brentq"]
 
 
+_REJECT_PROBE = """
+import json, sys
+from billiardlab.errors import InvalidArgumentError
+from billiardlab.resonance import ComplexTrace, detect_peaks
+try:
+    detect_peaks(ComplexTrace([1.0, 2.0, 3.0, 4.0, 5.0], [1j, 1j, 1j, 1j, 1j]), 0.01)
+    raised = None
+except InvalidArgumentError as e:
+    raised = str(e)
+print(json.dumps({"raised": raised, "signal": "scipy.signal" in sys.modules}))
+"""
+
+
+def test_detect_peaks_rejects_before_importing_scipy_signal():
+    # a short trace raises from the check, without paying for the scipy.signal import first
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", _REJECT_PROBE], capture_output=True, text=True, env=env,
+                          check=True, timeout=120)
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert "longer than 10 samples" in (result["raised"] or "")
+    assert result["signal"] is False
+
+
 def test_unknown_attribute_still_raises():
     with pytest.raises(AttributeError, match="no_such_name"):
         billiard.no_such_name

@@ -6,7 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from billiardlab.billiard import SectorGeometry, WavevectorSpectrum, WeylParams, point_scatterer_spectrum
+from billiardlab.billiard import (
+    SectorGeometry,
+    WavevectorSpectrum,
+    WeylParams,
+    bessel_order_zeros,
+    point_scatterer_spectrum,
+)
 from billiardlab.errors import InvalidArgumentError
 from billiardlab.reference import generate_reference_sequence
 from billiardlab.resonance import ComplexTrace
@@ -48,6 +54,20 @@ _REJECTED = {
     "zero-scan-window": (
         lambda: missing_level_scan(np.arange(1.0, 11.0), WeylParams(1.0, 1.0), window=0),
         "window must be >= 1",
+    ),
+    # a count that is not an integer is rejected, never truncated
+    "fractional-scan-window": (
+        lambda: missing_level_scan(np.arange(1.0, 11.0), WeylParams(1.0, 1.0), window=2.5),
+        "window must be >= 1",
+    ),
+    "fractional-zero-count": (lambda: bessel_order_zeros(1.0, 3.9), "count must be >= 1"),
+    "string-reference-length": (
+        lambda: generate_reference_sequence("poisson", "3", seed=1),
+        "n_levels must be >= 2",
+    ),
+    "fractional-reference-sequences": (
+        lambda: generate_reference_sequence("poisson", 10, seed=1, sequences=2.5),
+        "sequences must be >= 1",
     ),
     "trace-lengths-differ": (lambda: ComplexTrace([1.0, 2.0], [1.0 + 0.0j]), "equal length"),
     "curve-abscissa-and-ordinate-differ": (lambda: StatCurve([0.0, 1.0], [0.0]), "equal length"),
