@@ -63,7 +63,7 @@ class SectorGeometry:
 
     def __post_init__(self):
         check_positive(self.radius, "radius")
-        if not (0.0 < self.angle < 2.0 * math.pi):
+        if not check_positive(self.angle, "angle") < 2.0 * math.pi:
             raise InvalidArgumentError(f"angle must lie in (0, 2*pi), got {self.angle!r}")
 
     @property
@@ -498,14 +498,14 @@ def _window(E, g0: int, g1: int, margin: int) -> tuple:
     return n0, n1, 0.5 * (E[g1] + E[g0]), 0.5 * (E[g1] - E[g0])
 
 
-def _far_sums(E, w, n0: int, n1: int, at: np.ndarray) -> np.ndarray:
-    """Sums over the poles outside E[n0:n1] at the points ``at``, one row each:
-    sum w_n / (E_n - e), and sum w_n / (E_n - e)^2 over the poles below n0,
-    then over the poles from n1 on.  ``_FAR_CHUNK`` poles at a time bound the
-    temporaries to an (at x chunk) array."""
+def _far_sums(E, w, below: tuple, above: tuple, at: np.ndarray) -> np.ndarray:
+    """Sums over the poles E[below[0]:below[1]] and E[above[0]:above[1]] at the
+    points ``at``, one row each: sum w_n / (E_n - e) over both ranges, then
+    sum w_n / (E_n - e)^2 over ``below`` and over ``above``.  ``_FAR_CHUNK``
+    poles at a time bound the temporaries to an (at x chunk) array."""
     out = np.zeros((at.size, 3))
     buf = np.empty((at.size, _FAR_CHUNK))
-    for start, stop, col in ((0, n0, 1), (n1, E.size, 2)):
+    for (start, stop), col in ((below, 1), (above, 2)):
         for c0 in range(start, stop, _FAR_CHUNK):
             c1 = min(c0 + _FAR_CHUNK, stop)
             r = np.subtract(E[c0:c1], at[:, None], out=buf[:, : c1 - c0])
@@ -522,14 +522,14 @@ def _blocks(E, w, n_gaps: int) -> list[tuple]:
     groups = []
     for g0 in range(0, n_gaps, span):
         m0, m1, c, h = _window(E, g0, min(g0 + span, n_gaps), span)
-        groups.append((m0, m1, c, h, _far_sums(E, w, m0, m1, c + h * _NODES)))
+        groups.append((m0, m1, c, h, _far_sums(E, w, (0, m0), (m1, E.size), c + h * _NODES)))
     blocks = []
     for g0 in range(0, n_gaps, _BLOCK_GAPS):
         # the group's far sums, interpolated, and the rest of the group's window
         n0, n1, centre, half = _window(E, g0, min(g0 + _BLOCK_GAPS, n_gaps), _BLOCK_GAPS)
         m0, m1, c, h, table = groups[g0 // span]
         at = centre + half * _NODES
-        far = _barycentric((at - c) / h, table) + _far_sums(E[m0:m1], w[m0:m1], n0 - m0, n1 - m0, at)
+        far = _barycentric((at - c) / h, table) + _far_sums(E, w, (m0, n0), (n1, m1), at)
         blocks.append((n0, n1, centre, half, far))
     return blocks
 
@@ -541,27 +541,25 @@ def _block_sums(E, w, block, gaps, origin, t):
     E[n0:n1] exactly and the others through the polynomials through their
     sums ``far`` (see ``_far_sums``) at the Chebyshev points of
     [centre - half, centre + half].  ``gaps`` are the gaps' left poles and
-    ``origin`` the poles the offsets ``t`` are measured from.  Returns, one
-    row per gap: psi and phi, the near sums over the poles up to the left
-    pole and from the right pole on; the derivatives of the whole sums over
-    the same two sides; the far sum; and the distances from the point to
-    the left and the right pole.
+    ``origin`` the poles the offsets ``t`` are measured from.  Returns five
+    sums, one value per gap each: psi and phi, the near sums over the poles
+    up to the left pole and from the right pole on; the derivatives of the
+    whole sums over the same two sides; and the far sum.
     """
     n0, n1, centre, half, far = block
     En, wn, eo = E[n0:n1], w[n0:n1], E[origin]
     d = En - eo[:, None]
     d -= t[:, None]
-    at_left = np.arange(0, d.size, En.size) + (gaps - n0)  # flat index of each left pole
-    dl, dr = d.reshape(-1)[at_left], d.reshape(-1)[at_left + 1]
     r = np.reciprocal(d, out=d)
     # row-major runs: each gap's poles up to its left pole, then the rest
-    runs = np.column_stack((at_left - (gaps - n0), at_left + 1)).reshape(-1)
+    row = np.arange(0, d.size, En.size)
+    runs = np.column_stack((row, row + (gaps - n0 + 1))).reshape(-1)
     wr = (wn * r).reshape(-1)
     psi, phi = np.add.reduceat(wr, runs).reshape(-1, 2).T
     fv, fl, fr = _barycentric((eo + t - centre) / half, far).T
     wr *= r.reshape(-1)
     dpsi, dphi = np.add.reduceat(wr, runs).reshape(-1, 2).T
-    return psi, phi, dpsi + fl, dphi + fr, fv, dl, dr
+    return psi, phi, dpsi + fl, dphi + fr, fv
 
 
 def _secular_roots(E, w, shift: float, n_gaps: int) -> tuple[np.ndarray, np.ndarray]:
@@ -588,39 +586,41 @@ def _secular_roots(E, w, shift: float, n_gaps: int) -> tuple[np.ndarray, np.ndar
     c + s/(E_i - e) + S/(E_{i+1} - e) with s and S matching the derivatives
     of the pole sums left and right of the gap and c matching f.  The sign
     of f at the midpoint picks the pole the offsets are measured from.  The
-    model's root lies inside the gap; a step that leaves the bracket set by
-    the signs of f seen so far bisects instead.  Iteration stops once the
-    step or f is at rounding level.
-    ``test_roots_beyond_group_windows_against_mpmath`` brackets sampled
-    roots within 1e-14 relative in E.
+    gap's poles, as offsets ``pl`` and ``pr``, give the distances ``dl`` and
+    ``dr`` the model needs.  The model's root lies inside the gap; a step
+    that leaves the bracket set by the signs of f seen so far, or overflows,
+    bisects instead.  Iteration stops once the step or f is at rounding
+    level.  ``test_roots_beyond_group_windows_against_mpmath`` brackets
+    sampled roots within 1e-14 relative in E.
 
     The solve runs on the calling thread: its numpy calls are short, and on
     two threads the interpreter lock changing hands at every call gained
     nothing.
     """
     blocks = _blocks(E, w, n_gaps)
-    n_blocks = len(blocks)
     lp = np.arange(n_gaps)  # left pole of each gap
     o = lp  # the pole each offset is measured from: the left one at the midpoint
-    lo, hi = E[lp] - E[o], E[lp + 1] - E[o]
-    t = 0.5 * (lo + hi)
+    pl, pr = E[lp] - E[o], E[lp + 1] - E[o]  # the gap's poles, as offsets
+    t = 0.5 * (pl + pr)
     todo = lp
-    sums = np.empty((7, n_gaps))
+    sums = np.empty((5, n_gaps))
     for step in range(_MAX_ITER):
         tt, ot = t[todo], o[todo]
-        rows = np.searchsorted(todo, np.arange(n_blocks + 1) * _BLOCK_GAPS)  # of each block
+        rows = np.searchsorted(todo, np.arange(len(blocks) + 1) * _BLOCK_GAPS)  # of each block
         for j in np.flatnonzero(np.diff(rows)):
             k0, k1 = rows[j], rows[j + 1]
             sums[:, k0:k1] = _block_sums(E, w, blocks[j], todo[k0:k1], ot[k0:k1], tt[k0:k1])
-        psi, phi, dpsi, dphi, fv, dl, dr = sums[:, : todo.size]
+        psi, phi, dpsi, dphi, fv = sums[:, : todo.size]
         f = shift + psi + phi + fv
         if step == 0:
             # f < 0 at the midpoint puts the root in the right half: from here
             # on each gap's offsets are from the pole nearer its root
             o = lp + (f < 0.0)
-            lo, hi = E[lp] - E[o], E[lp + 1] - E[o]
-            t = 0.5 * (lo + hi)
+            pl, pr = E[lp] - E[o], E[lp + 1] - E[o]
+            lo, hi = pl.copy(), pr.copy()
+            t = 0.5 * (pl + pr)
             tt = t[todo]
+        dl, dr = pl[todo] - tt, pr[todo] - tt  # from the point to the gap's poles
         # stop once |f| is within its rounding error, bounded as in dlaed4
         err = 8.0 * (phi - psi + abs(shift) + np.abs(fv)) + np.abs(tt) * (dpsi + dphi)
         noise = np.abs(f) <= _EPS * err
@@ -630,8 +630,8 @@ def _secular_roots(E, w, shift: float, n_gaps: int) -> tuple[np.ndarray, np.ndar
         c = f - dl * dpsi - dr * dphi
         a = (dl + dr) * f - dl * dr * (dpsi + dphi)
         b = dl * dr * f
-        disc = np.sqrt(np.abs(a * a - 4.0 * b * c))
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            disc = np.sqrt(np.abs(a * a - 4.0 * b * c))
             eta = np.where(a > 0.0, 2.0 * b / (a + disc), (a - disc) / (2.0 * c))
         new = tt + eta
         new = np.where((new > l) & (new < h), new, 0.5 * (l + h))
@@ -707,7 +707,6 @@ def point_scatterer_spectrum(
     coupling = float(coupling)
     if coupling == 0.0 or math.isnan(coupling):
         raise InvalidArgumentError("coupling must be nonzero (0 means no scatterer)")
-    inv_coupling = 0.0 if math.isinf(coupling) else 1.0 / coupling
     w = as_float_array(mode_intensities, "mode_intensities")
     if np.any(w < 0.0):
         raise InvalidArgumentError("mode_intensities must be nonnegative")
@@ -722,22 +721,22 @@ def point_scatterer_spectrum(
         )
 
     E = k**2
-    e_max = k_max * k_max
     active = np.sqrt(w) > 8.0 * _EPS * max(E[-1], math.sqrt(w.max()))
     ka, Ea, wa = k[active], E[active], w[active]
     # roots of f = 1/coupling - F, which increases across every gap
-    shift = inv_coupling - float(np.sum(wa * Ea / (1.0 + Ea * Ea)))
+    shift = 1.0 / coupling - float(np.sum(wa * Ea / (1.0 + Ea * Ea)))
     if shift + np.sum(wa / Ea) < 0.0:
         # f(0) < 0: a root below the first pole; a zero-weight pole at E = 0
         # makes (0, E_1) one more gap
         ka, Ea, wa = np.r_[0.0, ka], np.r_[0.0, Ea], np.r_[0.0, wa]
-    n_gaps = max(min(int(np.searchsorted(Ea, e_max, side="right")), Ea.size - 1), 0)
+    n_gaps = max(min(int(np.searchsorted(Ea, k_max * k_max, side="right")), Ea.size - 1), 0)
     origin, tau = _secular_roots(Ea, wa, shift, n_gaps)
     k0 = ka[origin]
     # sqrt(E0 + tau) - k0 without cancellation: a root next to its pole stays on its side
     roots = k0 + tau / (k0 + np.sqrt(Ea[origin] + tau))
-    unshifted = k[(~active) & (E <= e_max)]
-    out = np.sort(np.concatenate([roots, unshifted]))
+    # the deflated levels join unshifted; one cut, which agrees with n_gaps,
+    # counted in E, as k <= k_max implies fl(k^2) <= fl(k_max^2)
+    out = np.sort(np.concatenate([roots, k[~active]]))
     return WavevectorSpectrum(out[out <= k_max])
 
 

@@ -50,15 +50,14 @@ def check_ascending(arr: np.ndarray, name: str, strict: bool = True) -> None:
 
 
 def check_positive(x, name: str) -> float:
-    """``x`` as a float, which must be finite and > 0."""
-    x = float(x)
-    if not (0.0 < x < math.inf):
-        raise InvalidArgumentError(f"{name} must be finite and positive, got {x!r}")
-    return x
+    """``x`` as a float; ``np.asarray(x)[()]`` must be a ``numbers.Real`` (text and bools raise), finite and > 0."""
+    if not (isinstance(np.asarray(x)[()], numbers.Real) and 0.0 < float(x) < math.inf):
+        raise InvalidArgumentError(f"{name} must be a finite positive number, got {x!r}")
+    return float(x)
 
 
 def check_count(x, name: str, minimum: int) -> int:
-    """``x`` as an int; it must be a ``numbers.Integral`` >= ``minimum`` (2.5 or "3" raise)."""
-    if not isinstance(x, numbers.Integral) or x < minimum:
+    """``x`` as an int; ``np.asarray(x)[()]`` must be a ``numbers.Integral`` >= ``minimum``."""
+    if not isinstance(np.asarray(x)[()], numbers.Integral) or x < minimum:
         raise InvalidArgumentError(f"{name} must be >= {minimum} and an integer, got {x!r}")
     return int(x)

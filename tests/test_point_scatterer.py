@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -70,6 +71,18 @@ def test_unaffected_modes_survive(sector, base):
     w[10] = 0.0  # kill the coupling of one mode by hand
     perturbed = point_scatterer_spectrum(base, w, coupling=3.0, k_max=30.0)
     assert np.min(np.abs(perturbed.values - base.values[10])) < 1e-12
+
+
+def test_zero_weight_level_cut_at_its_own_k(base, intensities):
+    # a zero-weight level is kept unshifted and passes the one cut, out <= k_max,
+    # exactly when k_max reaches it; the levels around it do not move
+    w = intensities.copy()
+    w[10] = 0.0
+    k10 = base.values[10]
+    at = point_scatterer_spectrum(base, w, 3.0, k10).values
+    below = point_scatterer_spectrum(base, w, 3.0, np.nextafter(k10, 0.0)).values
+    assert np.count_nonzero(at == k10) == 1 and k10 not in below
+    assert at[at != k10].tobytes() == below.tobytes()
 
 
 @pytest.mark.parametrize("coupling", [5.0, 2.0, math.inf, -2.0, 1e-9])
@@ -183,6 +196,20 @@ def test_nonconvergence_raises(base, intensities, monkeypatch):
     monkeypatch.setattr(billiard, "_MAX_ITER", 1)
     with pytest.raises(NumericalError):
         point_scatterer_spectrum(base, intensities, coupling=5.0, k_max=30.0)
+
+
+@pytest.mark.parametrize("coupling", [1e-200, -1e-200])
+def test_very_weak_coupling_warns_nothing(base, intensities, coupling):
+    # |1/coupling| = 1e200 overflows the step model's a * a; that step leaves the
+    # bracket and bisects, so the solve ends in the library's error or in the
+    # weak-coupling limit, the base levels, and no RuntimeWarning escapes
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            got = point_scatterer_spectrum(base, intensities, coupling, 30.0).values
+        except NumericalError:
+            return
+    np.testing.assert_array_equal(got, base.values[base.values <= 30.0])
 
 
 def _poisson_poles(n, seed):

@@ -12,13 +12,14 @@ from billiardlab.billiard import (
     WeylParams,
     bessel_order_zeros,
     point_scatterer_spectrum,
+    sector_eigenvalues,
 )
 from billiardlab.errors import InvalidArgumentError
 from billiardlab.reference import generate_reference_sequence
 from billiardlab.resonance import ComplexTrace
 from billiardlab.statistics import StatCurve
 from billiardlab.unfolding import missing_level_scan
-from billiardlab.validation import as_float_array, check_ascending
+from billiardlab.validation import as_float_array, check_ascending, check_count, check_positive
 
 _BASE = WavevectorSpectrum([1.0, 2.0, 3.0])
 
@@ -69,6 +70,19 @@ _REJECTED = {
         lambda: generate_reference_sequence("poisson", 10, seed=1, sequences=2.5),
         "sequences must be >= 1",
     ),
+    # text and booleans are not numbers, whichever checker takes them
+    "string-k-max": (
+        lambda: sector_eigenvalues(SectorGeometry(0.8, math.pi / 3), "40"),
+        "k_max must be a finite positive number",
+    ),
+    "boolean-sector-radius": (lambda: SectorGeometry(True, 1.0), "radius must be a finite positive number"),
+    "string-sector-angle": (lambda: SectorGeometry(1.0, "1.0"), "angle must be a finite positive number"),
+    "numpy-boolean-positive": (lambda: check_positive(np.True_, "x"), "x must be a finite positive number"),
+    "numpy-boolean-count": (lambda: check_count(np.True_, "n", 1), "n must be >= 1"),
+    "boolean-reference-sequences": (
+        lambda: generate_reference_sequence("poisson", 10, seed=1, sequences=True),
+        "sequences must be >= 1",
+    ),
     "trace-lengths-differ": (lambda: ComplexTrace([1.0, 2.0], [1.0 + 0.0j]), "equal length"),
     "curve-abscissa-and-ordinate-differ": (lambda: StatCurve([0.0, 1.0], [0.0]), "equal length"),
     "curve-abscissa-and-counts-differ": (
@@ -82,3 +96,13 @@ _REJECTED = {
 def test_invalid_input_rejected(call, message):
     with pytest.raises(InvalidArgumentError, match=message):
         call()
+
+
+@pytest.mark.parametrize("x", [2, 2.5, np.float64(2.5), np.float32(2.5), np.int64(2), np.array(2.5)])
+def test_numbers_and_0d_arrays_accepted(x):
+    assert check_positive(x, "x") == float(x)
+
+
+@pytest.mark.parametrize("x", [3, np.int64(3), np.uint8(3), np.array(3)])
+def test_integers_accepted_as_counts(x):
+    assert check_count(x, "n", 1) == 3
