@@ -25,7 +25,7 @@ import numpy as np
 from scipy.special import ai_zeros, hankel1, jv
 
 from .errors import InvalidArgumentError, NumericalError, QualityWarning
-from .validation import as_float_array, check_ascending, check_count, check_positive
+from .validation import as_float_array, check_ascending, check_count, check_positive, is_real
 
 __all__ = [
     "SectorGeometry",
@@ -81,6 +81,14 @@ def _ray_distance(x: float, y: float, angle: float) -> float:
     return abs(x * s - y * c) if x * c + y * s >= 0.0 else math.hypot(x, y)
 
 
+def _clearance(geom: SectorGeometry, x: float, y: float) -> float:
+    """Distance from (x, y) to the sector's boundary, the nearest of the arc and the two
+    straight edges; 0 unless 0 < atan2(y, x) mod 2 pi < angle, and 0 on or beyond the arc."""
+    if not 0.0 < math.atan2(y, x) % (2.0 * math.pi) < geom.angle:
+        return 0.0
+    return max(min(geom.radius - math.hypot(x, y), _ray_distance(x, y, 0.0), _ray_distance(x, y, geom.angle)), 0.0)
+
+
 @dataclass(frozen=True)
 class DiskScatterer:
     """Circular scatterer of given radius centred at ``center`` (metres)."""
@@ -92,13 +100,12 @@ class DiskScatterer:
         check_positive(self.radius, "radius")
 
     def validate_inside(self, geom: SectorGeometry) -> None:
-        """Raise unless the disk lies strictly inside the sector."""
-        x, y = self.center
-        r = math.hypot(x, y)
-        if not (0.0 < math.atan2(y, x) % (2.0 * math.pi) < geom.angle):
+        """Raise unless the disk lies strictly inside the sector, its centre's ``_clearance``
+        above its radius; a clearance of 0 is reported as a centre outside the sector."""
+        clearance = _clearance(geom, *self.center)
+        if clearance == 0.0:
             raise InvalidArgumentError(f"scatterer centre {self.center} outside the sector")
-        d0, d1 = _ray_distance(x, y, 0.0), _ray_distance(x, y, geom.angle)
-        if r + self.radius >= geom.radius or d0 <= self.radius or d1 <= self.radius:
+        if clearance <= self.radius:
             raise InvalidArgumentError(
                 f"scatterer {self.center} r={self.radius} does not lie strictly inside the sector"
             )
@@ -310,11 +317,10 @@ def bessel_order_zeros(order: float, count: int) -> np.ndarray:
     ``_bessel_zeros``.  ``TestBesselZeros`` compares them with
     ``mpmath.besseljzero`` at rtol 1e-13 (orders 0, 0.25, 0.5 and 300).
     """
-    order = float(order)
-    if not math.isfinite(order) or order < 0.0:
+    if not (is_real(order) and 0.0 <= float(order) < math.inf):
         raise InvalidArgumentError(f"order must be finite and >= 0, got {order!r}")
     count = check_count(count, "count", 1)
-    return _bessel_zeros(np.full(count, order), np.arange(1, count + 1))[0]
+    return _bessel_zeros(np.full(count, float(order)), np.arange(1, count + 1))[0]
 
 
 # ----------------------------------------------------------------------
@@ -396,10 +402,9 @@ def mode_amplitudes(geom: SectorGeometry, spectrum: WavevectorSpectrum, x, y) ->
 def mode_intensities_at(
     geom: SectorGeometry, spectrum: WavevectorSpectrum, x: float, y: float
 ) -> np.ndarray:
-    """|psi_n(x, y)|^2 of every labelled level at one point strictly inside the sector."""
-    r = math.hypot(x, y)
-    phi = math.atan2(y, x) % (2.0 * math.pi)
-    if not (r < geom.radius and 0.0 < phi < geom.angle):
+    """|psi_n(x, y)|^2 of every labelled level at one point strictly inside the sector,
+    one whose clearance from the boundary (``_clearance``) is positive."""
+    if _clearance(geom, x, y) == 0.0:
         raise InvalidArgumentError(f"point ({x}, {y}) lies outside the sector")
     return np.square(mode_amplitudes(geom, spectrum, x, y)[0])
 
@@ -600,8 +605,7 @@ def _secular_roots(E, w, shift: float, n_gaps: int) -> tuple[np.ndarray, np.ndar
     blocks = _blocks(E, w, n_gaps)
     lp = np.arange(n_gaps)  # left pole of each gap
     o = lp  # the pole each offset is measured from: the left one at the midpoint
-    pl, pr = E[lp] - E[o], E[lp + 1] - E[o]  # the gap's poles, as offsets
-    t = 0.5 * (pl + pr)
+    t = 0.5 * (E[lp + 1] - E[lp])
     todo = lp
     sums = np.empty((5, n_gaps))
     for step in range(_MAX_ITER):
@@ -677,9 +681,9 @@ def point_scatterer_spectrum(
         |psi_n(r0)|^2 for every base level, unit-L2-normalised modes, as
         returned by ``mode_intensities_at``.
     coupling : float
-        Scatterer coupling strength; ``0`` is rejected (use the base
-        spectrum instead) and ``+/-inf`` selects the maximal-coupling
-        limit F = 0.
+        Scatterer coupling strength, a real number; ``0`` is rejected (use
+        the base spectrum instead) and ``+/-inf`` selects the
+        maximal-coupling limit F = 0.
     k_max : float
         Upper edge of the reported perturbed spectrum.
 
@@ -694,8 +698,14 @@ def point_scatterer_spectrum(
     rho * sqrt(w) sqrt(w)^T (Bunch, Nielsen & Sorensen, Numer. Math. 31,
     31 (1978)), solved in every gap at once by ``_secular_roots``.  As in
     LAPACK ``dlaed2``, a level is deflated, i.e. left out of the solve and
-    kept unshifted, when sqrt(w_n) <= 8 eps max(E_max, sqrt(max w)), E_max
-    the largest base E_n.
+    kept unshifted, when u_n <= tol or u_n ||u|| <= tol |s|, with u = sqrt(w),
+    tol = 8 eps max(E_max, sqrt(max w)), E_max the largest base E_n, and
+    s = 1/coupling - sum_n w_n E_n/(1 + E_n^2) over all levels.  The second
+    test is dlaed2's |rho z_n| <= tol for diag(E) + u u^T / s, z = u/||u||
+    and rho = ||u||^2 / s: it deflates the levels of a weak coupling, whose
+    roots lie within rounding of their poles.  A coupling weak enough to
+    deflate every level, down to one whose inverse overflows to +-inf,
+    returns the base levels up to ``k_max``.
 
     The truncation of the base is not negligible: for the 60-degree,
     R = 0.8 m sector up to 4.6 GHz at coupling 5, a base to 2*k_max
@@ -704,9 +714,9 @@ def point_scatterer_spectrum(
     against a doubled truncation to gauge it.
     """
     k_max = check_positive(k_max, "k_max")
-    coupling = float(coupling)
-    if coupling == 0.0 or math.isnan(coupling):
+    if not (is_real(coupling) and abs(float(coupling)) > 0.0):  # NaN fails too
         raise InvalidArgumentError("coupling must be nonzero (0 means no scatterer)")
+    coupling = float(coupling)  # a Python float: 1/coupling overflows to +-inf, with no warning
     w = as_float_array(mode_intensities, "mode_intensities")
     if np.any(w < 0.0):
         raise InvalidArgumentError("mode_intensities must be nonnegative")
@@ -720,11 +730,14 @@ def point_scatterer_spectrum(
             stacklevel=2,
         )
 
-    E = k**2
-    active = np.sqrt(w) > 8.0 * _EPS * max(E[-1], math.sqrt(w.max()))
+    E, u = k**2, np.sqrt(w)
+    terms = w * E / (1.0 + E * E)
+    # the two deflation tests of the Notes, with s over all levels
+    tol, s = 8.0 * _EPS * max(E[-1], math.sqrt(w.max())), 1.0 / coupling - float(np.sum(terms))
+    active = (u > tol) & (u * np.linalg.norm(u) > tol * abs(s))
     ka, Ea, wa = k[active], E[active], w[active]
     # roots of f = 1/coupling - F, which increases across every gap
-    shift = 1.0 / coupling - float(np.sum(wa * Ea / (1.0 + Ea * Ea)))
+    shift = 1.0 / coupling - float(np.sum(terms[active]))
     if shift + np.sum(wa / Ea) < 0.0:
         # f(0) < 0: a root below the first pole; a zero-weight pole at E = 0
         # makes (0, E_1) one more gap

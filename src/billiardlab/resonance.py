@@ -214,14 +214,17 @@ def _lm_minimise(p0, f, data, delta):
     ``errors`` are sqrt(sigma^2 (N^-1)_ii), NaN where N is singular or the variance is not positive, with N formed
     at the start of the last iteration: before the last accepted step, or at the final p on a damping overflow.
     """
-    p = np.asarray(p0, dtype=float).copy()
     span = f[-1] - f[0]
-    log_width = slice(2, p.size - 2, 3)
     bounds = (math.log(span / (f.size - 1)), math.log(span))
-    p[log_width] = np.clip(p[log_width], *bounds)
-    s, inv = _bw_model(p, f, delta)
-    residual = s - data
-    cost = float(np.vdot(residual, residual).real)
+
+    def evaluate(p):
+        """``p`` with its log-widths clipped in place, the model's 1/(f - pole) terms, the residual and the cost."""
+        np.clip(p[2:-2:3], *bounds, out=p[2:-2:3])
+        s, inv = _bw_model(p, f, delta)
+        residual = s - data
+        return p, inv, residual, float(np.vdot(residual, residual).real)
+
+    p, inv, residual, cost = evaluate(np.asarray(p0, dtype=float).copy())
     history = [cost]
     dof = max(2 * f.size - p.size, 1)
     step_scale = np.full(p.size, np.abs(data).max())  # ``_TOL`` scale; the background's stays max|S|
@@ -237,24 +240,20 @@ def _lm_minimise(p0, f, data, delta):
             damped = normal.copy()
             damped.flat[:: p.size + 1] += mu * scale
             try:
-                trial = p + np.linalg.solve(damped, -gradient)
+                trial = evaluate(p + np.linalg.solve(damped, -gradient))  # (p, inv, residual, cost)
             except np.linalg.LinAlgError:
                 mu *= 5.0
                 continue
-            trial[log_width] = np.clip(trial[log_width], *bounds)
-            s_new, inv_new = _bw_model(trial, f, delta)
-            residual_new = s_new - data
-            cost_new = float(np.vdot(residual_new, residual_new).real)
-            if cost_new <= cost:
+            if trial[3] <= cost:
                 break
             mu *= 5.0
         else:
             message = "damping overflow: no descent direction found"
             break
-        step = trial - p
+        step = trial[0] - p
         step_scale[:-2] = np.abs(p[:-2]) + 1e-300
         rel_step = float(np.max(np.abs(step) / step_scale))
-        p, inv, residual, cost = trial, inv_new, residual_new, cost_new
+        p, inv, residual, cost = trial
         history.append(cost)
         mu = max(mu / 3.0, 1e-14)
         if rel_step < _TOL:

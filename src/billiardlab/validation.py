@@ -21,6 +21,7 @@ __all__ = [
     "check_ascending",
     "check_count",
     "check_positive",
+    "is_real",
 ]
 
 
@@ -49,9 +50,15 @@ def check_ascending(arr: np.ndarray, name: str, strict: bool = True) -> None:
         raise InvalidArgumentError(f"{name} must be {'strictly ascending' if strict else 'ascending'}")
 
 
+def is_real(x) -> bool:
+    """Whether ``np.asarray(x)[()]`` is a ``numbers.Real``: true for Python and numpy reals and 0-d arrays,
+    false for text and bools (numpy's bool is no ``numbers.Real``)."""
+    return isinstance(np.asarray(x)[()], numbers.Real)
+
+
 def check_positive(x, name: str) -> float:
-    """``x`` as a float; ``np.asarray(x)[()]`` must be a ``numbers.Real`` (text and bools raise), finite and > 0."""
-    if not (isinstance(np.asarray(x)[()], numbers.Real) and 0.0 < float(x) < math.inf):
+    """``x`` as a float; ``x`` must pass ``is_real`` (text and bools raise), be finite and > 0."""
+    if not (is_real(x) and 0.0 < float(x) < math.inf):
         raise InvalidArgumentError(f"{name} must be a finite positive number, got {x!r}")
     return float(x)
 

@@ -85,7 +85,10 @@ def test_zero_weight_level_cut_at_its_own_k(base, intensities):
     assert at[at != k10].tobytes() == below.tobytes()
 
 
-@pytest.mark.parametrize("coupling", [5.0, 2.0, math.inf, -2.0, 1e-9])
+# 1e-13 deflates 82 of the 85 levels by the second test of
+# ``point_scatterer_spectrum``'s Notes, +-1e-100 and 1e-320 every level;
+# 1/1e-320 overflows to inf
+@pytest.mark.parametrize("coupling", [5.0, 2.0, math.inf, -2.0, 1e-9, 1e-13, 1e-100, -1e-100, 1e-320])
 def test_eigvalsh_oracle(base, intensities, coupling):
     # coupling -2 puts one root below the first pole, in (0, E_1)
     want = point_scatterer_roots_by_eigvalsh(base.values, intensities, coupling, 30.0)
@@ -198,18 +201,25 @@ def test_nonconvergence_raises(base, intensities, monkeypatch):
         point_scatterer_spectrum(base, intensities, coupling=5.0, k_max=30.0)
 
 
-@pytest.mark.parametrize("coupling", [1e-200, -1e-200])
+@pytest.mark.parametrize("coupling", [1e-200, -1e-200, 1e-320, -1e-320, 5e-324])
 def test_very_weak_coupling_warns_nothing(base, intensities, coupling):
-    # |1/coupling| = 1e200 overflows the step model's a * a; that step leaves the
-    # bracket and bisects, so the solve ends in the library's error or in the
-    # weak-coupling limit, the base levels, and no RuntimeWarning escapes
+    # |1/coupling| >= 1e200 deflates every level, so the result is the base
+    # levels; 1/coupling overflows to +-inf below about 5.6e-309, and still no
+    # RuntimeWarning escapes
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        try:
-            got = point_scatterer_spectrum(base, intensities, coupling, 30.0).values
-        except NumericalError:
-            return
+        got = point_scatterer_spectrum(base, intensities, coupling, 30.0).values
     np.testing.assert_array_equal(got, base.values[base.values <= 30.0])
+
+
+@pytest.mark.parametrize("coupling", [1e-30, -1e-30, 1e-60, -1e-100, 1e-320])
+def test_weak_coupling_deflates_every_level(apex, coupling):
+    # near the apex, from 1e-30 down, the solve raised NumericalError: a root
+    # within rounding of its pole could not be resolved.  Every level passes
+    # the second deflation test, so the base levels are the answer, bitwise
+    base, w, k_max = apex
+    got = point_scatterer_spectrum(base, w, coupling, k_max).values
+    np.testing.assert_array_equal(got, base.values[base.values <= k_max])
 
 
 def _poisson_poles(n, seed):

@@ -19,7 +19,7 @@ from billiardlab.reference import generate_reference_sequence
 from billiardlab.resonance import ComplexTrace
 from billiardlab.statistics import StatCurve
 from billiardlab.unfolding import missing_level_scan
-from billiardlab.validation import as_float_array, check_ascending, check_count, check_positive
+from billiardlab.validation import as_float_array, check_ascending, check_count, check_positive, is_real
 
 _BASE = WavevectorSpectrum([1.0, 2.0, 3.0])
 
@@ -83,6 +83,10 @@ _REJECTED = {
         lambda: generate_reference_sequence("poisson", 10, seed=1, sequences=True),
         "sequences must be >= 1",
     ),
+    "string-coupling": (lambda: point_scatterer_spectrum(_BASE, [0.1, 0.1, 0.1], "5", 1.0), "coupling must be nonzero"),
+    "boolean-coupling": (lambda: point_scatterer_spectrum(_BASE, [0.1, 0.1, 0.1], True, 1.0), "coupling must be nonzero"),
+    "string-bessel-order": (lambda: bessel_order_zeros("2", 3), "order must be finite and >= 0"),
+    "boolean-bessel-order": (lambda: bessel_order_zeros(True, 3), "order must be finite and >= 0"),
     "trace-lengths-differ": (lambda: ComplexTrace([1.0, 2.0], [1.0 + 0.0j]), "equal length"),
     "curve-abscissa-and-ordinate-differ": (lambda: StatCurve([0.0, 1.0], [0.0]), "equal length"),
     "curve-abscissa-and-counts-differ": (
@@ -101,6 +105,15 @@ def test_invalid_input_rejected(call, message):
 @pytest.mark.parametrize("x", [2, 2.5, np.float64(2.5), np.float32(2.5), np.int64(2), np.array(2.5)])
 def test_numbers_and_0d_arrays_accepted(x):
     assert check_positive(x, "x") == float(x)
+
+
+@pytest.mark.parametrize("x", [2, np.float64(2.0), np.int64(2), np.array(2.0)])
+def test_numbers_and_0d_arrays_accepted_as_coupling_and_order(x):
+    # the two scalars that may be negative or zero follow the same type rule, ``is_real``
+    assert is_real(x) and is_real(-x)
+    want = point_scatterer_spectrum(_BASE, [0.1, 0.1, 0.1], 2.0, 2.5).values
+    np.testing.assert_array_equal(point_scatterer_spectrum(_BASE, [0.1, 0.1, 0.1], x, 2.5).values, want)
+    np.testing.assert_array_equal(bessel_order_zeros(x, 3), bessel_order_zeros(2.0, 3))
 
 
 @pytest.mark.parametrize("x", [3, np.int64(3), np.uint8(3), np.array(3)])
