@@ -707,6 +707,13 @@ def point_scatterer_spectrum(
     deflate every level, down to one whose inverse overflows to +-inf,
     returns the base levels up to ``k_max``.
 
+    With f(E) = 1/coupling - F(E) = s - sum_n w_n/(E - E_n), f rises from
+    s to +inf below the first pole and from -inf to s above the top one, so
+    the rank-one update has one root in each gap and one more outside them.
+    That root is returned when it lies in (0, E_1), i.e. when f(0) < 0.  Two
+    roots are never returned: the bound state at E < 0, when s < 0 < f(0)
+    (f(0) = s + sum_n w_n/E_n), and the root above the top pole, when s > 0.
+
     The truncation of the base is not negligible: for the 60-degree,
     R = 0.8 m sector up to 4.6 GHz at coupling 5, a base to 2*k_max
     instead of 4*k_max moves the levels by up to 0.12-0.135 mean spacings
@@ -714,8 +721,10 @@ def point_scatterer_spectrum(
     against a doubled truncation to gauge it.
     """
     k_max = check_positive(k_max, "k_max")
-    if not (is_real(coupling) and abs(float(coupling)) > 0.0):  # NaN fails too
-        raise InvalidArgumentError("coupling must be nonzero (0 means no scatterer)")
+    if not is_real(coupling):
+        raise InvalidArgumentError(f"coupling must be a real number, got {coupling!r}")
+    if not abs(float(coupling)) > 0.0:  # NaN fails too
+        raise InvalidArgumentError(f"coupling must be nonzero and not NaN (0 means no scatterer), got {coupling!r}")
     coupling = float(coupling)  # a Python float: 1/coupling overflows to +-inf, with no warning
     w = as_float_array(mode_intensities, "mode_intensities")
     if np.any(w < 0.0):

@@ -127,6 +127,175 @@ def breit_wigner_model(resonances, diagonal: bool, frequencies, background: comp
 # Prominence floor in units of the noise sigma per quadrature: pure complex
 # noise reaches 4.8-5.4 sigma over 300k samples (seeds 0-9).
 _NOISE_PROMINENCE = 8.0
+_JUMPS = 16  # pointer-jumping passes of the side walks before block extrema finish the rest
+_GATHER = 1 << 18  # samples the width search gathers per round, at most (or 16 per peak, if more)
+
+
+def _extrema(d: np.ndarray, into: np.ndarray) -> np.ndarray:
+    """Midpoints of the runs of equal samples entered by a step where ``into`` holds and left by one where it fails.
+
+    ``d`` is the signal's np.diff.  With ``into = d > 0`` these are scipy's local maxima: a run is a peak when the
+    runs on both sides are lower, so no run that touches either end is one, and a plateau's index is
+    (first + last) // 2.  With ``into = d < 0`` they are the local minima.
+    """
+    runs = np.flatnonzero(into[:-1] & ~into[1:]) + 1
+    flat = np.flatnonzero(d[runs] == 0.0)
+    if flat.size:  # a plateau ends at the next nonzero step, which must exist and leave it the other way
+        steps = np.flatnonzero(d)
+        k = np.searchsorted(steps, runs[flat])
+        last = steps[np.minimum(k, steps.size - 1)]
+        runs[flat] = (runs[flat] + last) // 2
+        runs = np.delete(runs, flat[(k == steps.size) | into[last]])
+    return runs
+
+
+def _block_levels(n: int) -> list[int]:
+    """Offsets of the levels of aligned blocks over n (even) entries: level k holds blocks of 2**k, padded to even."""
+    offsets = [0]
+    while n > 1:
+        n += n & 1
+        offsets.append(offsets[-1] + n)
+        n //= 2
+    return offsets
+
+
+def _fill_blocks(buf: np.ndarray, offsets: list[int], op, pad: float) -> None:
+    """Write each level of ``buf`` above level 0 as ``op`` of pairs of the level below, padded with ``pad``."""
+    for lo, mid, hi in zip(offsets, offsets[1:], offsets[2:] + [offsets[-1] + 1]):
+        half = mid + (mid - lo) // 2
+        op(buf[lo:mid:2], buf[lo + 1 : mid : 2], out=buf[mid:half])
+        buf[half:hi] = pad
+
+
+def _finish_walks(walk, ptr, low, maxima, minima, offsets) -> None:
+    """Finish the side walks ``walk`` over aligned blocks, O(log n) steps each, lowering ``low`` in place.
+
+    Going left from ``ptr``, a walk takes in every block whose maximum is at most its own height, climbing to the
+    parent block whenever the next one is a right child.  At the first block holding a higher entry it descends,
+    taking in each right child that holds none, down to that entry.
+    """
+    _fill_blocks(maxima, offsets, np.maximum, -np.inf)
+    _fill_blocks(minima, offsets, np.minimum, np.inf)
+    offsets = np.array(offsets)
+    h, i, cur = maxima[walk], ptr[walk], low[walk]
+    level = np.zeros_like(i)
+    down = np.zeros(walk.size, bool)
+    while walk.size:
+        at = offsets[level - down] + np.where(down, 2 * i + 1, i)  # the block (level, i), or its right child
+        clear = maxima[at] <= h
+        cur = np.where(clear, np.minimum(cur, minima[at]), cur)
+        up = clear & ~down
+        j = np.maximum(i - 1, 0)
+        ones = np.frexp((j + 1) & -(j + 1))[1] - 1  # trailing one bits of j: the levels to climb
+        level = np.where(up, level + ones, level - down)
+        i = np.where(up, j >> ones, np.where(down, 2 * i + 1 - clear, i))
+        down |= ~clear
+        end = down & (level == 0)
+        low[walk[end]] = cur[end]
+        go = ~end
+        walk, h, i, cur, level, down = walk[go], h[go], i[go], cur[go], level[go], down[go]
+
+
+def _prominences(heights: np.ndarray, bottoms: np.ndarray, threshold: float):
+    """The prominences of peaks of ``heights``, and the indices of those >= ``threshold`` (> 0).
+
+    bottoms[j] is the lowest sample between peaks j-1 and j (bottoms[0] before the first peak, bottoms[m] after the
+    last).  scipy takes the minimum of the signal over (L, p] and [p, R), L and R the nearest samples strictly
+    higher than the peak p, and the prominence is its height less the larger of the two.  Both ranges are unions of
+    whole gaps between peaks, ending at the nearest strictly higher peak, so each side walks the bottoms until such
+    a peak.  All sides walk at once in one array [inf, heights, inf, heights reversed], whose infinite entries end
+    every walk; the right side of peak j is entry 2m+1-j, and the other side of entry w is n-w.
+
+    A walk takes the range and the pointer of the peak it reaches (pointer jumping).  A peak is dropped as soon as
+    one side ends less than ``threshold`` below it, which removes almost every noise peak in the first passes.
+    Walks left after ``_JUMPS`` passes finish on block extrema, since walks that cross ended ones advance one peak
+    per pass.  The cost is O(m) per pass and O(log m) per finished walk, O(m log m) at most for m peaks.
+    """
+    m = heights.size
+    n = 2 * m + 2
+    offsets = _block_levels(n)
+    maxima, minima = np.empty(offsets[-1] + 1), np.empty(offsets[-1] + 1)  # level 0 now, the blocks if needed
+    inf = np.array([np.inf])
+    top = np.concatenate((inf, heights, inf, heights[::-1]), out=maxima[:n])
+    low = np.concatenate((-inf, bottoms[:-1], -inf, bottoms[:0:-1]), out=minima[:n]).copy()
+    ptr = np.arange(-1, n - 1)
+    ended = np.empty(n, bool)
+    ended[0] = True
+    np.greater(top[:-1], top[1:], out=ended[1:])
+    ended[m + 1] = True
+    dead = ended & (top - low < threshold)
+    live = np.ones(n, bool)
+    live[1:] = ~(dead[1:] | dead[:0:-1])
+    walk = np.flatnonzero(~ended & live)
+    for _ in range(_JUMPS):
+        if not walk.size:
+            break
+        q = ptr[walk]
+        h = top[walk]
+        cur = np.minimum(low[walk], low[q])
+        low[walk] = cur
+        ptr[walk] = nxt = ptr[q]
+        ended = top[nxt] > h
+        dead = walk[ended & (h - cur < threshold)]
+        live[dead] = live[n - dead] = False
+        walk = walk[~ended]
+        walk = walk[live[walk]]
+    if walk.size:
+        _finish_walks(walk, ptr, low, maxima, minima, offsets)
+    prominence = heights - np.maximum(low[1 : m + 1], low[: m + 1 : -1])
+    return prominence, np.flatnonzero(live[1 : m + 1] & (threshold <= prominence))
+
+
+def _crossings(x: np.ndarray, start: np.ndarray, level: np.ndarray, step: int) -> np.ndarray:
+    """The nearest index to each ``start``, going by ``step``, where ``x`` is at most ``level``, which must exist.
+
+    Windows double from 16 samples, so each search costs O(its distance), as scipy's own walk does.
+    """
+    out = np.empty(start.size, np.intp)
+    todo = np.arange(start.size)
+    k, w = 0, 16
+    while todo.size:
+        idx = np.clip(start[todo, None] + step * np.arange(k, k + w), 0, x.size - 1)
+        hit = x[idx] <= level[todo, None]
+        found = hit.any(axis=1)
+        out[todo[found]] = start[todo[found]] + step * (k + hit[found].argmax(axis=1))
+        todo = todo[~found]
+        k += w
+        w = min(2 * w, max(16, _GATHER // max(todo.size, 1)))
+    return out
+
+
+def _find_peaks(x: np.ndarray, prominence: float, width: float):
+    """Peak indices, prominences and widths, bitwise equal to ``scipy.signal.find_peaks(x, prominence=prominence,
+    width=width)`` for a finite float signal and ``prominence`` > 0.
+
+    Peaks are scipy's local maxima (:func:`_extrema`), kept when their prominence (:func:`_prominences`) is at
+    least ``prominence`` and then their width at least ``width``.  The width is scipy's at half prominence:
+    from the peak it walks out to the first sample at most h = x[p] - prominence/2 on each side, and interpolates
+    linearly where that sample is below h.  scipy bounds the walk by the bases, the side minima, but those are at
+    most h, so the first such sample is never beyond them.  Cost: O(n) for the extrema, O(m log m) for the
+    prominences of m local maxima and O(width) per kept peak, against scipy's O(n + the sum of the side ranges).
+    """
+    d = np.diff(x)
+    peaks = _extrema(d, d > 0.0)
+    if not peaks.size:
+        return peaks, np.empty(0), np.empty(0)
+    valleys = _extrema(d, d < 0.0)  # one between each two peaks; the lowest samples at the ends are added
+    inner = valleys[np.searchsorted(valleys, peaks[0]) : np.searchsorted(valleys, peaks[-1])]
+    bottoms = np.concatenate(([x[: peaks[0]].min()], x[inner], [x[peaks[-1] :].min()]))
+    prominences, keep = _prominences(x[peaks], bottoms, prominence)
+    peaks, prominences = peaks[keep], prominences[keep]
+    height = x[peaks] - prominences * 0.5
+    left, right = _crossings(x, peaks, height, -1), _crossings(x, peaks, height, 1)
+    xl, xr = x[left], x[right]
+    left_ip, widths = left.astype(float), right.astype(float)
+    below = xl < height
+    left_ip[below] += (height[below] - xl[below]) / (x[left[below] + 1] - xl[below])
+    below = xr < height
+    widths[below] -= (height[below] - xr[below]) / (x[right[below] - 1] - xr[below])
+    widths -= left_ip
+    keep = width <= widths
+    return peaks[keep], prominences[keep], widths[keep]
 
 
 def detect_peaks(trace: ComplexTrace, prominence: float) -> list[Resonance]:
@@ -144,8 +313,15 @@ def detect_peaks(trace: ComplexTrace, prominence: float) -> list[Resonance]:
     sigma = median|diff(S)| / (1.1774 * sqrt(2)) (the median of a Rayleigh
     variable with sigma*sqrt(2) per quadrature).  A peak is kept when its
     prominence reaches max(``prominence``, 8 sigma) and it is at least 2
-    samples wide at half prominence, so noise spikes are dropped.  Past these
-    checks the first call imports ``scipy.signal`` (0.55-0.66 s, 2-vCPU VM), which nothing else needs.
+    samples wide at half prominence, so noise spikes are dropped.
+
+    A peak is a run of equal samples of the signal (|S|, or -|S| on the
+    diagonal) with a lower run on each side, at the run's middle sample
+    ((first + last) // 2); its prominence is its height less the higher of
+    the lowest samples on each side before a strictly higher sample (or the
+    end).  The indices, prominences and widths equal those of
+    ``scipy.signal.find_peaks(signal, prominence=..., width=2.0)`` bitwise,
+    which tests/test_resonance.py checks against scipy.
     """
     if len(trace) <= 10:
         raise InvalidArgumentError("trace must be longer than 10 samples")
@@ -154,13 +330,12 @@ def detect_peaks(trace: ComplexTrace, prominence: float) -> list[Resonance]:
     step = (f[-1] - f[0]) / (len(trace) - 1)
     if np.any(np.abs(np.diff(f) - step) > 1e-6 * step):
         raise InvalidArgumentError("detect_peaks needs a uniform frequency grid")
-    from scipy.signal import find_peaks
     sigma = float(np.median(np.abs(np.diff(trace.values)))) / (1.1774 * math.sqrt(2.0))
     mag = np.abs(trace.values)
     signal = -mag if trace.is_diagonal else mag
-    idx, props = find_peaks(signal, prominence=max(prominence, _NOISE_PROMINENCE * sigma), width=2.0)
-    gamma = props["widths"] * step / (1.0 if trace.is_diagonal else math.sqrt(3.0))
-    amplitude = 0.5 * (props["prominences"] if trace.is_diagonal else mag[idx]) * gamma
+    idx, prominences, widths = _find_peaks(signal, max(prominence, _NOISE_PROMINENCE * sigma), 2.0)
+    gamma = widths * step / (1.0 if trace.is_diagonal else math.sqrt(3.0))
+    amplitude = 0.5 * (prominences if trace.is_diagonal else mag[idx]) * gamma
     return [Resonance(float(c), float(g), float(a)) for c, g, a in zip(f[idx], gamma, amplitude)]
 
 

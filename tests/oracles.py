@@ -83,8 +83,8 @@ def ecdf_ks(samples: np.ndarray, cdf) -> float:
     return float(max(np.max(np.abs(f - i / n)), np.max(np.abs(f - (i - 1) / n))))
 
 
-def point_scatterer_roots_by_eigvalsh(k: np.ndarray, w: np.ndarray, coupling: float, k_max: float) -> np.ndarray:
-    """Perturbed wavevectors in (0, k_max] from a dense symmetric eigensolver.
+def point_scatterer_eigenvalues(k: np.ndarray, w: np.ndarray, coupling: float) -> np.ndarray:
+    """Every root E of the point-scatterer equation, ascending, from a dense symmetric eigensolver.
 
     With K0 = sum_n w_n E_n/(1 + E_n^2) - 1/coupling, the secular equation
     sum_n w_n [1/(E - E_n) + E_n/(1 + E_n^2)] = 1/coupling says that E is an
@@ -94,7 +94,12 @@ def point_scatterer_roots_by_eigvalsh(k: np.ndarray, w: np.ndarray, coupling: fl
     w = np.asarray(w, dtype=float)
     k0 = np.sum(w * E / (1.0 + E * E)) - (0.0 if math.isinf(coupling) else 1.0 / coupling)
     z = np.sqrt(w)
-    lam = np.linalg.eigvalsh(np.diag(E) - np.outer(z, z) / k0)
+    return np.linalg.eigvalsh(np.diag(E) - np.outer(z, z) / k0)
+
+
+def point_scatterer_roots_by_eigvalsh(k: np.ndarray, w: np.ndarray, coupling: float, k_max: float) -> np.ndarray:
+    """Perturbed wavevectors in (0, k_max] from :func:`point_scatterer_eigenvalues`."""
+    lam = point_scatterer_eigenvalues(k, w, coupling)
     return np.sqrt(lam[(lam > 0.0) & (lam <= k_max * k_max)])
 
 

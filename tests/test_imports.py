@@ -18,7 +18,7 @@ _SRC = os.path.dirname(os.path.dirname(os.path.abspath(billiard.__file__)))
 _PROBE = """
 import json, sys
 from billiardlab import billiard, reference, resonance, statistics, unfolding
-unused = ("scipy.optimize", "scipy.integrate", "scipy.signal", "scipy.stats")
+unused = ("scipy.optimize", "scipy.integrate", "scipy.signal", "scipy.stats", "scipy.linalg")
 loaded = [m for m in unused if m in sys.modules]
 brentq = billiard.brentq
 import scipy.optimize
@@ -36,27 +36,36 @@ def test_import_loads_no_unused_scipy_module():
     assert result["brentq"]
 
 
-_REJECT_PROBE = """
+_RESONANCE_PROBE = """
 import json, sys
+import numpy as np
 from billiardlab.errors import InvalidArgumentError
-from billiardlab.resonance import ComplexTrace, detect_peaks
+from billiardlab.resonance import ComplexTrace, Resonance, breit_wigner_model, detect_peaks, fit_resonances
 try:
     detect_peaks(ComplexTrace([1.0, 2.0, 3.0, 4.0, 5.0], [1j, 1j, 1j, 1j, 1j]), 0.01)
     raised = None
 except InvalidArgumentError as e:
     raised = str(e)
-print(json.dumps({"raised": raised, "signal": "scipy.signal" in sys.modules}))
+f = np.linspace(0.98e9, 1.03e9, 5001)
+clean = breit_wigner_model([Resonance(1.0e9, 1e6, 0.2e6), Resonance(1.01e9, 1e6, 0.15e6)], False, f)
+rng = np.random.default_rng(0)
+noisy = ComplexTrace(f, clean.values + 0.002 * (rng.standard_normal(f.size) + 1j * rng.standard_normal(f.size)))
+fit = fit_resonances(noisy, detect_peaks(noisy, 0.05))
+print(json.dumps({"raised": raised, "fitted": len(fit),
+                  "loaded": [m for m in ("scipy.signal", "scipy.linalg") if m in sys.modules]}))
 """
 
 
-def test_detect_peaks_rejects_before_importing_scipy_signal():
-    # a short trace raises from the check, without paying for the scipy.signal import first
+def test_resonance_path_imports_neither_scipy_signal_nor_linalg():
+    # a short trace raises from the check, and a noisy two-pole trace is found and fitted,
+    # with neither module imported on the way
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", _REJECT_PROBE], capture_output=True, text=True, env=env,
+    done = subprocess.run([sys.executable, "-c", _RESONANCE_PROBE], capture_output=True, text=True, env=env,
                           check=True, timeout=120)
     result = json.loads(done.stdout.splitlines()[-1])
     assert "longer than 10 samples" in (result["raised"] or "")
-    assert result["signal"] is False
+    assert result["fitted"] == 2
+    assert result["loaded"] == []
 
 
 def test_unknown_attribute_still_raises():

@@ -15,7 +15,7 @@ from billiardlab.billiard import (
 from billiardlab import billiard
 from billiardlab.errors import InvalidArgumentError, NumericalError, QualityWarning
 
-from oracles import point_scatterer_roots_by_eigvalsh, secular_function_mp
+from oracles import point_scatterer_eigenvalues, point_scatterer_roots_by_eigvalsh, secular_function_mp
 
 SCATTERER_XY = (0.64, 0.40)  # one-disk setup position, metres
 
@@ -110,6 +110,22 @@ def test_eigvalsh_oracle_across_blocks(coupling):
     got = point_scatterer_spectrum(WavevectorSpectrum(np.sqrt(E)), w, coupling, k_max).values
     assert got.size == want.size
     np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
+@pytest.mark.parametrize("coupling, above", [(0.1, True), (math.inf, False)], ids=["s>0", "s<0<f(0)"])
+def test_the_two_roots_not_returned(base, intensities, coupling, above):
+    # k_max at the top level solves every gap: the 85 eigenvalues of the rank-one update are the 84 roots
+    # returned and one more, above the top pole when s > 0 and a bound state at E < 0 when s < 0 < f(0)
+    E = base.values**2
+    s = (0.0 if math.isinf(coupling) else 1.0 / coupling) - np.sum(intensities * E / (1.0 + E * E))
+    assert (s > 0.0) == above and (above or s + np.sum(intensities / E) > 0.0)
+    with pytest.warns(QualityWarning, match="truncation"):
+        got = point_scatterer_spectrum(base, intensities, coupling, base.values[-1]).values
+    lam = point_scatterer_eigenvalues(base.values, intensities, coupling)
+    assert lam.size == E.size == got.size + 1
+    left_out, solved = (lam[-1], lam[:-1]) if above else (lam[0], lam[1:])
+    assert left_out > E[-1] if above else left_out < 0.0
+    np.testing.assert_allclose(got, np.sqrt(solved), rtol=1e-12)
 
 
 def test_tiny_intensity_gap_keeps_its_root(sector, base):

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -121,6 +122,81 @@ class TestDetectPeaks:
         trace = ComplexTrace(f, np.zeros(10, complex))
         with pytest.raises(InvalidArgumentError):
             detect_peaks(trace, prominence=0.1)
+
+
+def scipy_find_peaks(x, prominence, width):
+    # the oracle only: the library itself never imports scipy.signal
+    from scipy.signal import find_peaks
+
+    idx, props = find_peaks(x, prominence=prominence, width=width)
+    return idx, props["prominences"], props["widths"]
+
+
+def deep_dip_staircase(k):
+    """[0, k, 0, k-1, 0, ..., 1, 0, k+10, 0]: every peak is prominent, and the last one's left walk
+    crosses k peaks whose own walks have ended, one more per pointer-jumping pass."""
+    x = np.zeros(2 * k + 3)
+    x[1 : 2 * k : 2] = np.arange(k, 0, -1)
+    x[2 * k + 1] = k + 10
+    return x
+
+
+def assert_peaks_equal_scipy(x, prominence, width):
+    for want, got in zip(scipy_find_peaks(x, prominence, width), resonance._find_peaks(x, prominence, width)):
+        assert np.array_equal(want, got), (want, got)
+
+
+_LEVELS = st.integers(0, 6)
+_SIGNALS = st.one_of(
+    st.lists(_LEVELS, max_size=60),  # ties and plateaus anywhere
+    # runs of 1-4 equal samples, so plateaus also at both ends
+    st.lists(st.tuples(_LEVELS, st.integers(1, 4)), max_size=20).map(lambda runs: [v for v, r in runs for _ in range(r)]),
+    st.lists(st.integers(-2, 2), max_size=60).map(lambda steps: np.cumsum(steps).tolist()),  # random walks
+    st.builds(  # rounded noisy sines
+        lambda n, seed: np.round(3.0 * np.sin(np.linspace(0.0, 10.0, n)) + np.random.default_rng(seed).normal(0.0, 0.5, n), 1),
+        st.integers(3, 80), st.integers(0, 2**32 - 1),
+    ),
+)
+
+
+class TestFindPeaksAgainstScipy:
+    """``_find_peaks`` returns scipy.signal.find_peaks' indices, prominences and widths bitwise."""
+
+    @given(
+        signal=_SIGNALS,
+        negate=st.booleans(),  # the diagonal case: dips of -|S|
+        prominence=st.one_of(st.floats(0.1, 3.0), st.sampled_from([0.5, 1.0, 2.0, 3.0])),  # also exact prominences
+        width=st.floats(0.0, 3.5),
+        jumps=st.sampled_from([1, 2, resonance._JUMPS]),  # 1 and 2 finish most walks on block extrema
+        gather=st.sampled_from([1, resonance._GATHER]),  # 1: 16-sample rounds only in the width search
+    )
+    @example(signal=[2.0] * 7, negate=False, prominence=0.1, width=0.0, jumps=16, gather=1 << 18)  # all equal
+    @example(signal=[0.0, 1.0, 0.0], negate=False, prominence=0.5, width=0.0, jumps=16, gather=1 << 18)
+    @example(signal=[0.0, 1.0, 0.0], negate=True, prominence=0.5, width=0.0, jumps=16, gather=1 << 18)
+    @example(signal=[1.0, 0.0, 1.0], negate=False, prominence=0.5, width=0.0, jumps=16, gather=1 << 18)
+    @example(signal=[3.0, 3.0, 1.0, 2.0, 2.0, 0.0, 3.0, 3.0], negate=False, prominence=0.5, width=0.5, jumps=1,
+             gather=1)  # plateaus at both ends and inside
+    # the peak at 5 ends its left walk after one jump exactly ``prominence`` below itself, and is kept
+    @example(signal=[0.0, 4.0, 1.0, 2.0, 1.0, 3.0, 0.0], negate=False, prominence=2.0, width=0.0, jumps=16,
+             gather=1 << 18)
+    @example(signal=deep_dip_staircase(300).tolist(), negate=False, prominence=0.5, width=0.0, jumps=16, gather=1 << 18)
+    @settings(max_examples=400, deadline=None)
+    def test_small_signals(self, signal, negate, prominence, width, jumps, gather):
+        x = np.asarray(signal, dtype=float)
+        with mock.patch.object(resonance, "_JUMPS", jumps), mock.patch.object(resonance, "_GATHER", gather):
+            assert_peaks_equal_scipy(-x if negate else x, prominence, width)
+
+    def test_deep_dip_staircase(self):
+        assert_peaks_equal_scipy(deep_dip_staircase(20_000), 0.5, 2.0)
+
+    @pytest.mark.parametrize("diagonal", [False, True])
+    def test_noisy_trace(self, diagonal):
+        # a 30-pole trace with noise, as detect_peaks sees it: most of its ~10^4 local maxima are noise
+        trace = spaced_trace(np.random.default_rng(8), 30, 0.002)
+        mag = np.abs(trace.values) if not diagonal else -np.abs(1.0 + trace.values)
+        idx, _, _ = resonance._find_peaks(mag, 0.01, 2.0)
+        assert idx.size >= 30
+        assert_peaks_equal_scipy(mag, 0.01, 2.0)
 
 
 class TestFit:

@@ -83,8 +83,22 @@ _REJECTED = {
         lambda: generate_reference_sequence("poisson", 10, seed=1, sequences=True),
         "sequences must be >= 1",
     ),
-    "string-coupling": (lambda: point_scatterer_spectrum(_BASE, [0.1, 0.1, 0.1], "5", 1.0), "coupling must be nonzero"),
-    "boolean-coupling": (lambda: point_scatterer_spectrum(_BASE, [0.1, 0.1, 0.1], True, 1.0), "coupling must be nonzero"),
+    "string-coupling": (
+        lambda: point_scatterer_spectrum(_BASE, [0.1, 0.1, 0.1], "5", 1.0),
+        "coupling must be a real number, got '5'",
+    ),
+    "boolean-coupling": (
+        lambda: point_scatterer_spectrum(_BASE, [0.1, 0.1, 0.1], True, 1.0),
+        "coupling must be a real number, got True",
+    ),
+    "zero-coupling": (
+        lambda: point_scatterer_spectrum(_BASE, [0.1, 0.1, 0.1], 0.0, 1.0),
+        r"coupling must be nonzero and not NaN \(0 means no scatterer\), got 0\.0",
+    ),
+    "nan-coupling": (
+        lambda: point_scatterer_spectrum(_BASE, [0.1, 0.1, 0.1], math.nan, 1.0),
+        r"coupling must be nonzero and not NaN \(0 means no scatterer\), got nan",
+    ),
     "string-bessel-order": (lambda: bessel_order_zeros("2", 3), "order must be finite and >= 0"),
     "boolean-bessel-order": (lambda: bessel_order_zeros(True, 3), "order must be finite and >= 0"),
     "trace-lengths-differ": (lambda: ComplexTrace([1.0, 2.0], [1.0 + 0.0j]), "equal length"),
