@@ -189,6 +189,17 @@ class TestFindPeaksAgainstScipy:
     def test_deep_dip_staircase(self):
         assert_peaks_equal_scipy(deep_dip_staircase(20_000), 0.5, 2.0)
 
+    def test_block_walks_take_logarithmic_steps(self):
+        # with no pointer-jumping pass every walk finishes on block extrema, and each step of all of them calls
+        # np.where a few times (nothing else in _find_peaks does); climbing to parent blocks keeps the steps
+        # O(log m), where walking one block at a time would take about m = 2001
+        x = deep_dip_staircase(2_000)
+        with mock.patch.object(resonance, "_JUMPS", 0), mock.patch.object(np, "where", wraps=np.where) as where:
+            got = resonance._find_peaks(x, 0.5, 2.0)
+        assert 0 < where.call_count <= 16 * x.size.bit_length()
+        for want, have in zip(scipy_find_peaks(x, 0.5, 2.0), got):
+            assert np.array_equal(want, have)
+
     @pytest.mark.parametrize("diagonal", [False, True])
     def test_noisy_trace(self, diagonal):
         # a 30-pole trace with noise, as detect_peaks sees it: most of its ~10^4 local maxima are noise
